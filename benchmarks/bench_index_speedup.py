@@ -8,6 +8,12 @@ the family-batched path (both on).  All variants run in the same process
 and their answers are compared fingerprint-for-fingerprint — speedups are
 only reported if the accelerated paths reproduced the naive oracle exactly.
 
+The root neighbourhood holds only FILTER candidates, so each scale also
+times a *depth-2* step — the root's top FILTER already applied — whose
+neighbourhood adds the CHANGE and GENERALIZE candidates of that pair
+(naive vs batched, fingerprint-checked into the same ``identical``
+column; reported, not gated).
+
 Scales are multiples of ``REPRO_INDEX_BENCH_SF`` (default 1.0, the paper's
 full synthetic size).  At full size the medium config must show the ≥3×
 indexed speedup and the ≥8× batched speedup (ROADMAP target: 10×); at
@@ -26,6 +32,7 @@ from repro.index.verify import diff_recommendations
 
 _SCALES = {"small": 0.25, "medium": 1.0, "large": 2.0}
 _SPEEDUP_FLOOR = 3.0
+_ROUTES = ("cube", "sibling", "containment", "delta", "direct")
 _BATCH_SPEEDUP_FLOOR = 8.0
 
 
@@ -34,6 +41,9 @@ def _base_sf() -> float:
 
 
 def test_index_speedup(benchmark):
+    #: per scale: depth-2 (naive s, batched s)
+    depth2_s: dict[str, tuple[float, float]] = {}
+
     def run():
         rows = []
         outcomes = {}
@@ -50,8 +60,14 @@ def test_index_speedup(benchmark):
             naive_result, naive_s = time_call(naive.recommend, repeats=1)
             indexed_result, indexed_s = time_call(indexed.recommend, repeats=1)
             batched_result, batched_s = time_call(batched.recommend, repeats=1)
+            depth2 = naive_result[0].target
+            naive2, naive2_s = time_call(lambda: naive.recommend(depth2))
+            batched2, batched2_s = time_call(lambda: batched.recommend(depth2))
             diffs = diff_recommendations(naive_result, indexed_result)
-            batch_diffs = diff_recommendations(naive_result, batched_result)
+            batch_diffs = diff_recommendations(
+                naive_result, batched_result
+            ) + diff_recommendations(naive2, batched2)
+            depth2_s[name] = (naive2_s, batched2_s)
             speedup = naive_s / indexed_s if indexed_s else float("inf")
             batch_speedup = naive_s / batched_s if batched_s else float("inf")
             outcomes[name] = (
@@ -69,9 +85,14 @@ def test_index_speedup(benchmark):
                     f"{batched_s:.2f}",
                     f"{speedup:.2f}x",
                     f"{batch_speedup:.2f}x",
+                    f"{naive2_s:.2f}",
+                    f"{batched2_s:.2f}",
+                    f"{naive2_s / batched2_s if batched2_s else float('inf'):.2f}x",
                     "yes" if not (diffs or batch_diffs) else "NO",
-                    f"{stats['candidates_cube']}/{stats['candidates_delta']}"
-                    f"/{stats['candidates_direct']}",
+                    "/".join(
+                        str(stats[f"candidates_{route}"])
+                        for route in _ROUTES
+                    ),
                 )
             )
         return rows, outcomes
@@ -89,14 +110,21 @@ def test_index_speedup(benchmark):
                 "batched (s)",
                 "indexed",
                 "batched",
+                "d2 naive (s)",
+                "d2 batched (s)",
+                "d2 batched",
                 "identical",
-                "cube/delta/direct",
+                "/".join(_ROUTES),
             ),
             rows,
         )
         + f"\nbase scale factor: {_base_sf()} (REPRO_INDEX_BENCH_SF)"
-        + "\nidentical = indexed AND batched recommendations"
-        " fingerprint-equal to the naive oracle in this same run."
+        + "\nd2 = a depth-2 step (the root's top FILTER applied): its"
+        " neighbourhood adds CHANGE/GENERALIZE candidates."
+        + "\nidentical = indexed AND batched recommendations (root and"
+        " depth-2) fingerprint-equal to the naive oracle in this same run."
+        + "\nroute counts are the batched engine's index counters over both"
+        " steps."
     )
     metrics = {}
     for name, (
@@ -105,6 +133,8 @@ def test_index_speedup(benchmark):
         metrics[f"{name}_naive_s"] = naive_s
         metrics[f"{name}_indexed_s"] = indexed_s
         metrics[f"{name}_batched_s"] = batched_s
+        metrics[f"{name}_depth2_naive_s"] = depth2_s[name][0]
+        metrics[f"{name}_depth2_batched_s"] = depth2_s[name][1]
         metrics[f"{name}_speedup"] = Metric(
             speedup, unit="x", higher_is_better=True, portable=True
         )

@@ -1,14 +1,27 @@
 """Family-batched candidate scoring on the recommendation hot path.
 
 The per-candidate indexed path (:meth:`RecommendationBuilder._score_one_indexed`)
-walks candidates one by one even though every clean FILTER candidate of one
-(side, attribute) is a slice of the same fused cube.  This module scores a
-whole *family* at once:
+walks candidates one by one even though most candidates are members of a
+fused family that one scan serves.  This module scores a whole *family* at
+once.  :meth:`~repro.index.facade.NeighborhoodContext.family_route` picks
+the route from the operation's shape — no configuration involved:
 
-1. **plan** — :func:`plan_units` splits the neighbourhood into family units
-   (single-added-pair FILTERs with a cube) and residue blocks (GENERALIZE,
-   CHANGE, multi-valued FILTER, compounds — the per-candidate path);
-2. **stack** — each family stacks its cube slices into one
+* **FILTER cube** — FILTERs on one categorical/numeric attribute share
+  the parent's :class:`~repro.index.cubes.CandidateCube`;
+* **sibling cube** — CHANGEs of one categorical/numeric pair ⟨a, v⟩
+  share a cube on axis a over the sibling group (the parent without
+  ⟨a, v⟩); the GENERALIZE dropping ⟨a, v⟩ is a one-candidate stack of
+  that sibling group's own histograms;
+* **containment family** — FILTERs on one multi-valued attribute share a
+  :class:`~repro.index.cubes.ContainmentFamily`;
+* **residue** — multi-valued CHANGE/GENERALIZE, compounds and
+  over-budget families run as one-candidate stacks over posting rows
+  (delta/direct counts).
+
+1. **plan** — :func:`plan_units` splits the neighbourhood into family
+   units and blocks of loose candidates, which run as one-candidate
+   stacks through the same kernel;
+2. **stack** — each family stacks its members' slices into one
    ``(candidate, subgroup, bucket)`` count tensor per spec and runs the
    bitwise-exact fused kernel (:mod:`repro.batch.kernel`) to get every
    candidate's raw criteria and DW-utility matrix in a few array passes;
@@ -71,7 +84,7 @@ from .kernel import FamilyScores, batch_family_dw, batch_family_scores
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: index builds on core
     from ..core.recommend import RecommenderConfig, ScoredOperation
-    from ..index.cubes import CandidateCube
+    from ..index.cubes import CandidateCube, ContainmentFamily
     from ..index.facade import NeighborhoodContext
 
 __all__ = [
@@ -83,6 +96,7 @@ __all__ = [
     "supports_batch",
     "plan_units",
     "plan_lookup",
+    "pools_and_bounds",
     "FamilyBatchScorer",
 ]
 
@@ -114,9 +128,13 @@ def supports_batch(config: "Any") -> bool:
 
 @dataclass
 class FamilyPlan:
-    """One FILTER family: all candidates adding a value of one attribute."""
+    """One family: all candidates served by one fused source.
 
-    cube: "CandidateCube"
+    The source is a FILTER cube, a sibling (CHANGE) cube or a containment
+    family; ``codes`` are the members' value codes in it.
+    """
+
+    source: "CandidateCube | ContainmentFamily"
     operations: list[Operation] = field(default_factory=list)
     codes: list[int | None] = field(default_factory=list)
 
@@ -132,8 +150,8 @@ class PreparedFamily:
     valid candidates only.  ``pools[c]`` is candidate ``c``'s utility-ranked
     informative pool (spec indices, at most k'), and ``dw`` the full
     DW-utility matrix.  The count tensors themselves are *not* kept — an
-    evaluated candidate re-reads its rows from the family cube (the same
-    joint histogram the kernel stacked, so the values are identical).
+    evaluated candidate re-reads its rows from the family source (the same
+    histogram the kernel stacked, so the values are identical).
     """
 
     family: FamilyPlan
@@ -162,24 +180,25 @@ class PreparedFamily:
         return int(self.group_sizes[c])
 
     def counts_of(self, c: int, spec: RatingMapSpec) -> np.ndarray:
-        return self.family.cube.candidate_counts(int(self.codes[c]), spec)
+        return self.family.source.candidate_counts(int(self.codes[c]), spec)
 
     def labels_of(self, spec: RatingMapSpec) -> tuple:
-        return self.family.cube.labels_of(spec)
+        return self.family.source.labels_of(spec)
 
 
 @dataclass
 class PreparedRows:
-    """A rows-served (posting-list) candidate after the kernel pass.
+    """A loose (familyless) candidate after the kernel pass.
 
-    GENERALIZE/CHANGE/multi-valued-FILTER candidates have no family cube,
-    but their per-spec count matrices — gathered through the ordinary
-    delta/direct path, so byte-identical to the per-candidate oracle's —
-    still stack into a one-candidate tensor for the fused kernel.  That
-    buys them the same vectorised criteria, exact-utility bound, global
-    best-bound-first pruning and lazy preview as cube families.  Exposes
-    the same candidate-indexed surface as :class:`PreparedFamily` (with
-    ``c`` always 0), so the evaluation/materialisation code is shared.
+    GENERALIZE candidates, multi-valued CHANGEs and compounds have no
+    family, but their per-spec count matrices — from the sibling cube's
+    joint histograms or the ordinary delta/direct path, so identical to the
+    per-candidate oracle's — still stack into a one-candidate tensor for
+    the fused kernel.  That buys them the same vectorised criteria,
+    exact-utility bound, global best-bound-first pruning and lazy preview
+    as families.  Exposes the same candidate-indexed surface as
+    :class:`PreparedFamily` (with ``c`` always 0), so the
+    evaluation/materialisation code is shared.
     """
 
     view: Any
@@ -241,8 +260,27 @@ class BatchScored:
         return self._final
 
 
-#: A scoring unit: a batched family or a residue block of loose candidates.
+#: A scoring unit: a batched family or a block of loose candidates.
 BatchUnit = "FamilyPlan | list[Operation]"
+
+
+def _family_of(
+    ctx: "NeighborhoodContext",
+    operation: Operation,
+    families: "dict[int, FamilyPlan]",
+) -> "tuple[FamilyPlan, bool] | None":
+    """Append ``operation`` to its family (``True`` when the family is new)."""
+    route = ctx.family_route(operation)
+    if route is None:
+        return None
+    source, code = route
+    family = families.get(id(source))
+    fresh = family is None
+    if fresh:
+        family = families[id(source)] = FamilyPlan(source)
+    family.operations.append(operation)
+    family.codes.append(code)
+    return family, fresh
 
 
 def plan_units(
@@ -250,29 +288,21 @@ def plan_units(
     operations: Sequence[Operation],
     residue_chunk: int,
 ) -> list["FamilyPlan | list[Operation]"]:
-    """Split the neighbourhood into family and residue units, in first-
+    """Split the neighbourhood into family and loose units, in first-
     appearance order (so anytime snapshots stay roughly scan-ordered)."""
     units: list[FamilyPlan | list[Operation]] = []
-    families: dict[tuple, FamilyPlan] = {}
+    families: dict[int, FamilyPlan] = {}
     block: list[Operation] = []
     chunk = max(1, int(residue_chunk))
     for operation in operations:
-        route = ctx.filter_route(operation)
-        if route is None:
+        member = _family_of(ctx, operation, families)
+        if member is None:
             block.append(operation)
             if len(block) >= chunk:
                 units.append(block)
                 block = []
-            continue
-        cube, code = route
-        key = (cube.axis.side, cube.axis.attribute)
-        family = families.get(key)
-        if family is None:
-            family = FamilyPlan(cube)
-            families[key] = family
-            units.append(family)
-        family.operations.append(operation)
-        family.codes.append(code)
+        elif member[1]:
+            units.append(member[0])
     if block:
         units.append(block)
     return units
@@ -288,34 +318,57 @@ def plan_lookup(
     snapshot and budget-cut boundaries are exactly the per-candidate
     path's — and uses this lookup to batch the *arithmetic* by family:
     the first scanned member of a family triggers the whole family's
-    kernel pass.  Residue candidates map to ``None`` (the one-candidate
+    kernel pass.  Loose candidates map to ``None`` (the one-candidate
     stack of :meth:`FamilyBatchScorer.prepare_rows`).
     """
     lookup: "dict[int, tuple[FamilyPlan, int] | None]" = {}
-    families: dict[tuple, FamilyPlan] = {}
+    families: dict[int, FamilyPlan] = {}
     for operation in operations:
-        route = ctx.filter_route(operation)
-        if route is None:
-            lookup[id(operation)] = None
-            continue
-        cube, code = route
-        key = (cube.axis.side, cube.axis.attribute)
-        family = families.get(key)
-        if family is None:
-            family = FamilyPlan(cube)
-            families[key] = family
-        lookup[id(operation)] = (family, len(family.operations))
-        family.operations.append(operation)
-        family.codes.append(code)
+        member = _family_of(ctx, operation, families)
+        lookup[id(operation)] = (
+            None if member is None else (member[0], len(member[0]) - 1)
+        )
     return lookup
+
+
+def pools_and_bounds(
+    dw: np.ndarray,
+    informative: np.ndarray,
+    specs: "Sequence[RatingMapSpec]",
+    k: int,
+    k_prime: int,
+) -> tuple[list[list[int]], np.ndarray]:
+    """Per-candidate pool membership + utility upper bound.
+
+    A candidate's pool is its top-k' specs by ``(-dw, spec)`` that yield
+    informative maps — exactly ``finalize_from_counts``'s ranking — and
+    the Σ of the pool's top-k DW scores bounds the selected set's Σ from
+    above.  One stable ``lexsort`` ranks the whole family: ties in DW fall
+    back to the specs' own order through a precomputed rank, and the bound
+    accumulates left to right as Python's ``sum`` does, so pools and bounds
+    are bit-identical to a per-candidate ``sorted``.
+    """
+    n_candidates, n_specs = dw.shape
+    rank = np.empty(n_specs, dtype=np.intp)
+    rank[sorted(range(n_specs), key=specs.__getitem__)] = np.arange(n_specs)
+    order = np.lexsort((np.broadcast_to(rank, dw.shape), -dw), axis=-1)
+    order = order[:, :k_prime]
+    keep = np.take_along_axis(informative, order, axis=1)
+    pools = [row[mask].tolist() for row, mask in zip(order, keep)]
+    summed = keep & (np.cumsum(keep, axis=1) <= k)
+    values = np.take_along_axis(dw, order, axis=1)
+    bounds = np.zeros(n_candidates)
+    for column in range(order.shape[1]):
+        bounds += np.where(summed[:, column], values[:, column], 0.0)
+    return pools, bounds
 
 
 class FamilyBatchScorer:
     """Scores family units for one recommendation request.
 
     Holds the request-scoped state the upper-bound prune needs: the top-o
-    exact utilities seen so far (across families *and* residue candidates —
-    the builder feeds residue scores back via :meth:`note_exact`).
+    exact utilities seen so far, across families *and* loose candidates
+    (every exact evaluation feeds it through :meth:`note_exact`).
     """
 
     def __init__(
@@ -358,7 +411,7 @@ class FamilyBatchScorer:
 
     # -- the global exact-utility threshold ---------------------------------
     def note_exact(self, utility: float) -> None:
-        """Record one candidate's exact utility (family or residue path)."""
+        """Record one candidate's exact utility (family or loose path)."""
         with self._lock:
             if len(self._top) < self._o:
                 heapq.heappush(self._top, utility)
@@ -450,11 +503,12 @@ class FamilyBatchScorer:
         threshold can prune.  Returns ``None`` when no candidate survives
         the size gates.
         """
-        axis = family.cube.axis
+        source = family.source
         with obs_span(
             "batch.score",
-            side=axis.side.value,
-            attribute=axis.attribute,
+            side=source.side.value,
+            attribute=source.attribute,
+            route=source.route,
             candidates=len(family),
         ) as sp:
             prepared = self._prepare(family)
@@ -463,30 +517,29 @@ class FamilyBatchScorer:
 
     def _prepare(self, family: FamilyPlan) -> "PreparedFamily | None":
         config = self._config
-        cube = family.cube
+        source = family.source
         parent_size = self._ctx.parent_size
-        sizes = [
-            0 if code is None else cube.candidate_size(code)
-            for code in family.codes
-        ]
-        # same gates as _score_one_indexed: size floor, then the FILTER
-        # redundancy test (child ⊆ parent, so equal size ⇒ equal rows)
+        sizes = [source.candidate_size(code) for code in family.codes]
+        # same gates as _score_one_indexed: size floor, then the source's
+        # redundancy test (does the candidate select the parent's rows?)
         valid = [
             i
-            for i, size in enumerate(sizes)
-            if size >= config.min_group_size and size != parent_size
+            for i, (code, size) in enumerate(zip(family.codes, sizes))
+            if code is not None
+            and size >= config.min_group_size
+            and not source.redundant(code, parent_size)
         ]
         prepared: "PreparedFamily | None" = None
         n_scored = 0
         if valid:
-            self._ctx.count_cube_candidates(len(valid))
+            self._ctx.count_candidates(source.route, len(valid))
             codes = np.array([family.codes[i] for i in valid], dtype=np.intp)
             group_sizes = np.array([sizes[i] for i in valid], dtype=np.int64)
-            specs = cube.specs
+            specs = source.specs
             stacks = []
             for spec in specs:
                 check_deadline()
-                stacks.append(cube.stacked_counts(codes, spec))
+                stacks.append(source.stacked_counts(codes, spec))
             scores = batch_family_scores(
                 stacks,
                 group_sizes,
@@ -496,8 +549,8 @@ class FamilyBatchScorer:
             )
             weights = np.array([self._spec_weight(spec) for spec in specs])
             dw = batch_family_dw(scores, weights, self._utility)
-            pools, bounds = self._pools_and_bounds(
-                dw, scores.informative, specs
+            pools, bounds = pools_and_bounds(
+                dw, scores.informative, specs, self._k, self._k_prime
             )
             n_scored = sum(1 for pool in pools if pool)
             if n_scored:
@@ -521,42 +574,15 @@ class FamilyBatchScorer:
             self.stats["scored"] += n_scored
         return prepared
 
-    def _pools_and_bounds(
-        self,
-        dw: np.ndarray,
-        informative: np.ndarray,
-        specs: "tuple[RatingMapSpec, ...]",
-    ) -> tuple[list[list[int]], np.ndarray]:
-        """Per-candidate pool membership + utility upper bound.
-
-        The pool is the top-k' specs by (-dw, spec) that yield informative
-        maps — exactly ``finalize_from_counts``'s ranking — and the Σ of
-        the pool's top-k DW scores bounds the selected set's Σ from above.
-        """
-        n_candidates = dw.shape[0]
-        bounds = np.zeros(n_candidates)
-        pools: list[list[int]] = []
-        for c in range(n_candidates):
-            order = sorted(
-                range(len(specs)), key=lambda j: (-dw[c, j], specs[j])
-            )
-            pool = [
-                j for j in order[: self._k_prime] if informative[c, j]
-            ]
-            pools.append(pool)
-            if pool:
-                bounds[c] = float(sum(dw[c, j] for j in pool[: self._k]))
-        return pools, bounds
-
-    # -- rows-served (residue) candidates ------------------------------------
+    # -- loose (familyless) candidates ---------------------------------------
     def prepare_rows(self, operation: Operation) -> "PreparedRows | None":
-        """Kernel pass for one posting-list candidate (no family cube).
+        """Kernel pass for one loose candidate (no family).
 
         Applies the same gates as the per-candidate path — size floor and
         the row-equality redundancy test — then runs the one-candidate
         count stack through the fused kernel.  The count matrices come
-        from the unchanged delta/direct machinery, so they are the exact
-        arrays the oracle would score.
+        from the candidate's statistics view, so they are the exact arrays
+        the oracle would score.
         """
         view = self._ctx.candidate(operation)
         size = view.size
@@ -586,8 +612,8 @@ class FamilyBatchScorer:
                     [self._spec_weight(spec) for spec in specs]
                 )
                 dw = batch_family_dw(scores, weights, self._utility)
-                pools, bounds = self._pools_and_bounds(
-                    dw, scores.informative, specs
+                pools, bounds = pools_and_bounds(
+                    dw, scores.informative, specs, self._k, self._k_prime
                 )
                 if pools[0]:
                     n_scored = 1
@@ -677,8 +703,8 @@ class FamilyBatchScorer:
     ) -> "ScoredOperation | None":
         """Build one candidate's full preview (injected raw scores).
 
-        The counts callable re-reads the candidate's rows from the family
-        cube — the same joint histogram the kernel stacked, so the preview
+        The counts callable re-reads the candidate's rows from its source
+        — the same histogram the kernel stacked, so the preview
         is built from values identical to the batch tensor's row ``c``.
         """
         from ..core.recommend import ScoredOperation

@@ -301,9 +301,26 @@ class MultiValuedColumn(Column):
         value = self._rows[row]
         return value if value else None
 
+    @property
+    def members(self) -> tuple[str, ...]:
+        """The distinct member values, indexed by member code."""
+        return tuple(self._members)
+
+    def member_code(self, value: Any) -> int | None:
+        """The member code of ``value`` (``None`` if no row contains it)."""
+        return self._index.get(str(value))
+
+    def membership(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat, offsets)``: row ``i`` holds ``flat[offsets[i]:offsets[i+1]]``.
+
+        Member codes per row are distinct (cells are sets), so a FILTER on
+        value ``v`` selects exactly the rows listing code ``v`` once.
+        """
+        return self._flat, self._offsets
+
     def equals_mask(self, value: Any) -> np.ndarray:
         """Containment mask: rows whose set contains ``value``."""
-        code = self._index.get(str(value))
+        code = self.member_code(value)
         mask = np.zeros(len(self), dtype=bool)
         if code is None:
             return mask

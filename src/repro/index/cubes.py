@@ -25,8 +25,14 @@ produces.
 A :class:`FilterAxis` exists only for categorical and numeric attributes:
 multi-valued FILTER semantics are *containment*, while the aligned
 grouping keys rows by their full value set, so a cube slice would not
-equal the candidate's rows — those candidates take the posting-list path
-instead.
+equal the candidate's rows.  Those candidates overlap, and a
+:class:`ContainmentFamily` serves them instead: one stacked pass over
+every (row, member value) incidence of the parent.
+
+A cube need not run over the parent's own rows: over a *sibling* group's
+slices (the parent with its pair on the axis removed) the same cube
+serves every CHANGE of that pair — see
+:meth:`~repro.index.facade.NeighborhoodContext.sibling_cube`.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import numpy as np
 
 from ..concurrency import KeyedSingleFlight
 from ..core.rating_maps import RatingMapSpec
+from ..db.column import MultiValuedColumn
 from ..db.groupby import build_grouping
 from ..db.types import ColumnType
 from ..model.database import Side, SubjectiveDatabase
@@ -46,6 +53,7 @@ from ..model.database import Side, SubjectiveDatabase
 __all__ = [
     "FilterAxis",
     "CandidateCube",
+    "ContainmentFamily",
     "StepSlices",
     "axis_for",
     "cube_cells",
@@ -99,14 +107,18 @@ def axis_for(
 
 def cube_cells(
     database: SubjectiveDatabase,
-    axis: FilterAxis,
+    n_values: int,
     specs: Sequence[RatingMapSpec],
 ) -> int:
-    """Histogram cells the cube would hold (the budget admission check)."""
+    """Histogram cells a family of ``n_values`` candidates would hold.
+
+    The budget admission check of every fused family: a FILTER cube, a
+    sibling cube or a containment family.
+    """
     total = 0
     for spec in specs:
         n_groups = database.aligned_grouping(spec.side, spec.attribute).n_groups
-        total += axis.n_values * n_groups * database.scale
+        total += n_values * n_groups * database.scale
     return total
 
 
@@ -116,7 +128,10 @@ class StepSlices:
     Attribute codes are stored shifted by one (missing ``-1`` → trash
     code ``0``) and score buckets extended by one (invalid → trash bucket
     ``scale``); the joint bincounts then run over every parent row with
-    no masking, and real counts live in cells ``[1:, 1:, :scale]``.
+    no masking, and real counts live in cells ``[1:, 1:, :scale]``.  Both
+    are stored in the narrowest unsigned type that holds them (a step
+    keeps one array per attribute and dimension alive), so every key
+    product widens to ``int64`` explicitly.
     """
 
     def __init__(
@@ -149,6 +164,11 @@ class StepSlices:
         self.nbytes = 0
         self.pair_builds = 0
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The scanned group's rating rows."""
+        return self._rows
+
     # -- shared slices ------------------------------------------------------
     def codes1(self, side: Side, attribute: str) -> tuple[np.ndarray, int, tuple]:
         key = (side, attribute)
@@ -158,7 +178,7 @@ class StepSlices:
             return cached
         grouping = self._db.aligned_grouping(side, attribute)
         built = (
-            grouping.codes[self._rows] + 1,
+            _narrow(grouping.codes[self._rows] + 1, grouping.n_groups),
             grouping.n_groups,
             grouping.labels,
         )
@@ -174,7 +194,9 @@ class StepSlices:
         scale = self._scale
         with np.errstate(invalid="ignore"):
             valid = np.isfinite(scores) & (scores >= 1) & (scores <= scale)
-        built = np.where(valid, scores, scale + 1.0).astype(np.int64) - 1
+        built = _narrow(
+            np.where(valid, scores, scale + 1.0).astype(np.int64) - 1, scale
+        )
         with self._lock:
             return self._buckets.setdefault(dimension, built)
 
@@ -286,7 +308,7 @@ class StepSlices:
             scale = self._scale
             n_ent = self._entities(small_side)
             f1, nf, __ = self.codes1(*big)
-            fe = f1 * n_ent
+            fe = np.multiply(f1, n_ent, dtype=np.int64)
             fe += self.entity_rows(small_side)
             fe *= scale + 1
             cells = (nf + 1) * n_ent * (scale + 1)
@@ -356,7 +378,7 @@ class StepSlices:
         # per-dimension key is then one add away
         f1, nf, __ = self.codes1(*first)
         g1, ng, __ = self.codes1(*second)
-        fg = f1 * (ng + 1)
+        fg = np.multiply(f1, ng + 1, dtype=np.int64)
         fg += g1
         fg *= scale + 1
         cells = (nf + 1) * (ng + 1) * (scale + 1)
@@ -379,7 +401,7 @@ class StepSlices:
         buckets = self.buckets(spec.dimension)
         scale = self._scale
         flat = np.bincount(
-            codes1 * (scale + 1) + buckets,
+            np.multiply(codes1, scale + 1, dtype=np.int64) + buckets,
             minlength=(n_groups + 1) * (scale + 1),
         )
         return flat.reshape(n_groups + 1, scale + 1)[1:, :scale]
@@ -433,17 +455,47 @@ class StepSlices:
         return joint[1:, 1:, : self._scale]
 
 
+def _narrow(values: np.ndarray, top: int) -> np.ndarray:
+    """``values`` (all in ``0..top``) in the narrowest unsigned dtype."""
+    return values.astype(np.min_scalar_type(top))
+
+
 def _attr_order(key: _AttrKey) -> tuple[str, str]:
     return (key[0].value, key[1])
 
 
-class CandidateCube:
+class _FamilySource:
+    """What every fused family shows the scorers: sizes, labels, zeros."""
+
+    _slices: StepSlices
+    #: per-member-code candidate sizes (rows)
+    sizes: np.ndarray
+
+    def candidate_size(self, code: int | None) -> int:
+        return 0 if code is None else int(self.sizes[code])
+
+    def zero_counts(self, spec: RatingMapSpec) -> np.ndarray:
+        """The all-zero matrix of an out-of-domain value."""
+        n_groups = self._slices.codes1(spec.side, spec.attribute)[1]
+        return np.zeros((n_groups, self._slices._scale), dtype=np.int64)
+
+    def labels_of(self, spec: RatingMapSpec) -> tuple:
+        return self._slices.labels(spec.side, spec.attribute)
+
+
+class CandidateCube(_FamilySource):
     """All FILTER candidates of one axis, as sufficient statistics.
 
     ``counts_of`` slices, per spec, the ``(n_groups, scale)`` histogram
     matrix of the candidate filtering the axis to one value code — exactly
     what a full scan of that candidate's rows would produce, since both
     are integer bincounts over the same record set.
+
+    Over the parent's own slices (``route == "cube"``) every candidate is
+    a FILTER child of the parent.  Over a *sibling* group's slices — the
+    parent with its pair on the axis removed — the candidates are the
+    parent's CHANGE siblings, and ``parent_code`` names the axis code of
+    the parent's own value (``None`` when it lies outside the domain).
     """
 
     def __init__(
@@ -451,15 +503,39 @@ class CandidateCube:
         slices: StepSlices,
         axis: FilterAxis,
         specs: tuple[RatingMapSpec, ...],
+        *,
+        sibling: bool = False,
+        parent_code: int | None = None,
     ) -> None:
         self._slices = slices
         self.axis = axis
+        self.side = axis.side
+        self.attribute = axis.attribute
         self.specs = specs
+        self.route = "sibling" if sibling else "cube"
+        self.parent_code = parent_code
         self._key = (axis.side, axis.attribute)
         self.sizes = slices.sizes(axis.side, axis.attribute)
 
-    def candidate_size(self, code: int) -> int:
-        return int(self.sizes[code])
+    def code_of(self, value: Any) -> int | None:
+        return self.axis.code_of(value)
+
+    @property
+    def group_size(self) -> int:
+        """Rows of the scanned group (every axis value, missing included)."""
+        return int(self._slices.rows.size)
+
+    def redundant(self, code: int | None, parent_size: int) -> bool:
+        """Whether the candidate selects exactly the parent's rows.
+
+        A FILTER child is a subset of the parent, so equal size settles
+        it.  A CHANGE sibling shares no row with the parent unless it *is*
+        the parent's value, so equal size only counts when both are empty.
+        """
+        size = self.candidate_size(code)
+        if size != parent_size:
+            return False
+        return self.route == "cube" or size == 0 or code == self.parent_code
 
     def candidate_counts(self, code: int, spec: RatingMapSpec) -> np.ndarray:
         return self._slices.cube_slice(self._key, spec)[code]
@@ -473,10 +549,131 @@ class CandidateCube:
         """
         return self._slices.cube_slice(self._key, spec)[codes]
 
-    def zero_counts(self, spec: RatingMapSpec) -> np.ndarray:
-        """The all-zero matrix of an out-of-domain FILTER value."""
-        n_groups = self._slices.codes1(spec.side, spec.attribute)[1]
-        return np.zeros((n_groups, self._slices._scale), dtype=np.int64)
+    def group_counts(self, spec: RatingMapSpec) -> np.ndarray:
+        """The scanned group's own histogram of ``spec``, from the joints.
 
-    def labels_of(self, spec: RatingMapSpec) -> tuple:
-        return self._slices.labels(spec.side, spec.attribute)
+        Summing a joint (axis, attribute, bucket) histogram over *every*
+        axis code — the missing-value trash row included — leaves the
+        whole group's histogram of the attribute; summing over the other
+        attribute (trash column included) leaves the axis's own.  Exact
+        integer sums, so this equals a direct scan of the group's rows
+        without touching them.  The axis's own histogram reads the joint
+        with any other attribute.
+        """
+        scale = self._slices._scale
+        if (spec.side, spec.attribute) != self._key:
+            joint = self._slices.pair_hist(
+                self._key, (spec.side, spec.attribute), spec.dimension
+            )
+            return joint[:, 1:, :scale].sum(axis=0)
+        other = self.specs[0]
+        joint = self._slices.pair_hist(
+            self._key, (other.side, other.attribute), spec.dimension
+        )
+        return joint[1:, :, :scale].sum(axis=1)
+
+
+class ContainmentFamily(_FamilySource):
+    """All FILTER candidates on one multi-valued attribute, stacked.
+
+    A multi-valued FILTER ⟨a, v⟩ keeps the parent rows whose entity's set
+    *contains* v, so the candidates overlap and no partition of the rows
+    serves them.  Instead every (parent row, member value) incidence is
+    listed once — the rows of candidate v, tagged with v's member code —
+    and one ``bincount`` per spec keyed by (member, subgroup code + 1,
+    bucket) yields every candidate's histogram matrix at once, with the
+    :class:`StepSlices` trash-cell layout for missing codes and invalid
+    scores.  Integer counts over the same record sets, so the matrices
+    equal a direct scan of each candidate's rows.
+    """
+
+    route = "containment"
+
+    def __init__(
+        self,
+        slices: StepSlices,
+        side: Side,
+        attribute: str,
+        column: MultiValuedColumn,
+        specs: tuple[RatingMapSpec, ...],
+    ) -> None:
+        self._slices = slices
+        self._column = column
+        self._scale = slices._scale
+        self.side = side
+        self.attribute = attribute
+        self.specs = specs
+        flat, offsets = column.membership()
+        entities = slices.entity_rows(side)
+        per_row = np.diff(offsets)[entities]
+        first = np.cumsum(per_row) - per_row  # each row's first incidence
+        #: incidence k: parent-row position and member code
+        self._pos = np.repeat(np.arange(entities.size), per_row)
+        self._tags = flat[
+            np.arange(self._pos.size)
+            + np.repeat(offsets[entities] - first, per_row)
+        ]
+        self.n_values = len(column.members)
+        self.sizes = np.bincount(self._tags, minlength=self.n_values)
+        self._lock = threading.Lock()
+        self._flight = KeyedSingleFlight()
+        self._buckets: dict[str, np.ndarray] = {}
+        self._tensors: dict[RatingMapSpec, np.ndarray] = {}
+
+    def code_of(self, value: Any) -> int | None:
+        return self._column.member_code(value)
+
+    def redundant(self, code: int | None, parent_size: int) -> bool:
+        # a containment FILTER child is a subset of the parent
+        return self.candidate_size(code) == parent_size
+
+    def _incidence_buckets(self, dimension: str) -> np.ndarray:
+        with self._lock:
+            cached = self._buckets.get(dimension)
+        if cached is not None:
+            return cached
+        built = self._slices.buckets(dimension)[self._pos]
+        with self._lock:
+            return self._buckets.setdefault(dimension, built)
+
+    def _tensor(self, spec: RatingMapSpec) -> np.ndarray:
+        """``(n_values, n_groups, scale)`` candidate histograms of one spec.
+
+        Built for every rating dimension of the spec's attribute at once:
+        the fused (member, subgroup) key is shared, only the bucket add
+        and the bincount run per dimension.
+        """
+        with self._lock:
+            tensor = self._tensors.get(spec)
+        if tensor is not None:
+            return tensor
+        attr_key = (spec.side, spec.attribute)
+        with self._flight.lock(attr_key):
+            with self._lock:
+                tensor = self._tensors.get(spec)
+            if tensor is not None:
+                return tensor
+            scale = self._scale
+            codes1, n_groups, __ = self._slices.codes1(*attr_key)
+            key = self._tags * (n_groups + 1)
+            key += codes1[self._pos]
+            key *= scale + 1
+            cells = self.n_values * (n_groups + 1) * (scale + 1)
+            for other in self.specs:
+                if (other.side, other.attribute) != attr_key:
+                    continue
+                flat = np.bincount(
+                    key + self._incidence_buckets(other.dimension),
+                    minlength=cells,
+                )
+                built = flat.reshape(self.n_values, n_groups + 1, scale + 1)
+                with self._lock:
+                    self._tensors[other] = built[:, 1:, :scale]
+            with self._lock:
+                return self._tensors[spec]
+
+    def candidate_counts(self, code: int, spec: RatingMapSpec) -> np.ndarray:
+        return self._tensor(spec)[code]
+
+    def stacked_counts(self, codes: np.ndarray, spec: RatingMapSpec) -> np.ndarray:
+        return self._tensor(spec)[codes]

@@ -4,13 +4,22 @@ The facade owns the posting-list store and hands the Recommendation
 Builder a per-step :class:`NeighborhoodContext` that serves every
 candidate operation's sufficient statistics by the cheapest exact route:
 
-* clean FILTER on a categorical/numeric attribute → one slice of a fused
-  :class:`~repro.index.cubes.CandidateCube` (built once per attribute per
-  step, shared by all of that attribute's values);
-* everything else (GENERALIZE, CHANGE, multi-valued FILTER, compounds) →
-  rows from posting-list intersections, histograms either delta-maintained
-  from the parent's cached counts or scanned directly, whichever touches
-  fewer rows.
+* **FILTER cube** — a FILTER on a categorical/numeric attribute is one
+  slice of a fused :class:`~repro.index.cubes.CandidateCube` over the
+  parent's rows (built once per attribute per step, shared by all of that
+  attribute's values);
+* **sibling cube** — a CHANGE ⟨a, v⟩→⟨a, v′⟩ on a categorical/numeric
+  pair is a FILTER child of the *sibling group* (the parent without
+  ⟨a, v⟩), so one cube on axis a over the sibling's rows serves all of
+  a's CHANGE values, and the GENERALIZE candidate dropping ⟨a, v⟩ (the
+  sibling group itself) sums its histograms out of that cube's joints;
+* **containment family** — a FILTER on a multi-valued attribute is served
+  by one stacked pass over every (row, member value) incidence of the
+  parent (:class:`~repro.index.cubes.ContainmentFamily`);
+* **residue** — what remains (multi-valued CHANGE/GENERALIZE, compounds,
+  over-budget families) → rows from posting-list intersections,
+  histograms either delta-maintained from the parent's cached counts or
+  scanned directly, whichever touches fewer rows.
 
 All routes produce the integer count matrices a naive full scan would, so
 the indexed engine is byte-identical to the oracle — `use_index` merely
@@ -20,17 +29,26 @@ chooses how the same numbers are computed.
 from __future__ import annotations
 
 import threading
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
 from ..concurrency import KeyedSingleFlight
 from ..core.rating_maps import RatingMapSpec, enumerate_map_specs
+from ..db.column import MultiValuedColumn
 from ..model.database import Side, SubjectiveDatabase
-from ..obs import span as obs_span
-from ..model.groups import RatingGroup, SelectionCriteria
+from ..model.groups import AVPair, RatingGroup, SelectionCriteria
 from ..model.operations import Operation
-from .cubes import CandidateCube, FilterAxis, StepSlices, axis_for, cube_cells
+from ..obs import span as obs_span
+from .cubes import (
+    CandidateCube,
+    ContainmentFamily,
+    FilterAxis,
+    StepSlices,
+    axis_for,
+    cube_cells,
+)
 from .delta import delta_counts, direct_counts, prefer_delta, split_rows
 from .postings import PostingListStore
 
@@ -41,9 +59,10 @@ class IndexedDatabase:
     """Index layer over one :class:`SubjectiveDatabase`.
 
     ``memory_budget_bytes`` bounds the posting-list store;
-    ``max_cube_cells`` caps the histogram cells of any one candidate cube
-    (an attribute whose cube would exceed it falls back to the posting
-    path — correctness never depends on the budget).
+    ``max_cube_cells`` caps the histogram cells of any one fused family —
+    FILTER cube, sibling cube or group, containment family (a family that
+    would exceed it falls back to the posting path — correctness never
+    depends on the budget).
     """
 
     def __init__(
@@ -62,6 +81,8 @@ class IndexedDatabase:
             "cube_builds": 0,
             "cube_bytes": 0,
             "candidates_cube": 0,
+            "candidates_sibling": 0,
+            "candidates_containment": 0,
             "candidates_delta": 0,
             "candidates_direct": 0,
         }
@@ -120,9 +141,10 @@ class IndexedDatabase:
 class NeighborhoodContext:
     """Candidate statistics for one recommendation step.
 
-    Cubes and the parent's own histograms are built lazily, once, under
-    per-key single-flight locks — the Recommendation Builder scores
-    candidates from many threads at once.
+    Cubes, sibling slices and the parent's own histograms are built
+    lazily, once, under per-key single-flight locks — the Recommendation
+    Builder scores candidates from many threads at once.  Everything here
+    is request-scoped: it lives exactly as long as the step's scoring.
     """
 
     def __init__(self, index: IndexedDatabase, parent: RatingGroup) -> None:
@@ -137,13 +159,16 @@ class NeighborhoodContext:
         self._spec_set = frozenset(self._specs)
         self._lock = threading.Lock()
         self._flight = KeyedSingleFlight()
+        # a bound method of the index, not of self: sibling slices hold it,
+        # and a cycle back to the context would keep the step's arrays alive
+        self._on_pair_build = partial(index._bump, "cube_bytes")
         self._slices = StepSlices(
-            self._db,
-            self._parent_rows,
-            on_pair_build=lambda nbytes: index._bump("cube_bytes", nbytes),
+            self._db, self._parent_rows, on_pair_build=self._on_pair_build
         )
-        self._cubes: dict[tuple[Side, str], CandidateCube | None] = {}
-        self._parent_counts: dict[RatingMapSpec, np.ndarray] = {}
+        #: everything built lazily for the step, by key: the parent's
+        #: histograms and the family sources (``None`` = over budget or not
+        #: servable — the candidate takes the posting path)
+        self._sources: dict[tuple, Any] = {}
 
     @property
     def parent_size(self) -> int:
@@ -155,19 +180,9 @@ class NeighborhoodContext:
 
     def parent_counts(self, spec: RatingMapSpec) -> np.ndarray:
         """The parent group's histogram matrix for ``spec`` (cached)."""
-        with self._lock:
-            counts = self._parent_counts.get(spec)
-            if counts is not None:
-                return counts
-        with self._flight.lock(("parent", spec)):
-            with self._lock:
-                counts = self._parent_counts.get(spec)
-                if counts is not None:
-                    return counts
-            counts = self._slices.group_hist(spec)
-            with self._lock:
-                self._parent_counts[spec] = counts
-            return counts
+        return self._source(
+            ("parent", spec), lambda: self._slices.group_hist(spec)
+        )
 
     def _child_specs(self, side: Side, attribute: str) -> tuple[RatingMapSpec, ...]:
         """Specs of a FILTER child on ``attribute`` — the parent's minus it.
@@ -183,99 +198,227 @@ class NeighborhoodContext:
             if not (s.side is side and s.attribute == attribute)
         )
 
-    def cube(self, side: Side, attribute: str) -> CandidateCube | None:
-        key = (side, attribute)
+    def _source(self, key: tuple, build: "Callable[[], Any]") -> Any:
+        """The request-scoped value under ``key``, built once."""
         with self._lock:
-            if key in self._cubes:
-                return self._cubes[key]
-        with self._flight.lock(("cube", key)):
+            if key in self._sources:
+                return self._sources[key]
+        with self._flight.lock(key):
             with self._lock:
-                if key in self._cubes:
-                    return self._cubes[key]
-            cube: CandidateCube | None = None
+                if key in self._sources:
+                    return self._sources[key]
+            built = build()
+            with self._lock:
+                self._sources[key] = built
+            return built
+
+    def _admit(self, n_values: int, specs: tuple[RatingMapSpec, ...]) -> int:
+        """The family's histogram cells if within budget, else 0."""
+        if not specs:
+            return 0
+        cells = cube_cells(self._db, n_values, specs)
+        return cells if cells <= self._index.max_cube_cells else 0
+
+    def cube(self, side: Side, attribute: str) -> CandidateCube | None:
+        """The parent's FILTER cube on a categorical/numeric attribute."""
+
+        def build() -> CandidateCube | None:
             axis = self._index.axis(side, attribute)
-            if axis is not None:
-                specs = self._child_specs(side, attribute)
-                cells = cube_cells(self._db, axis, specs) if specs else 0
-                if specs and cells <= self._index.max_cube_cells:
-                    with obs_span(
-                        "index.cube.build",
-                        side=side.value,
-                        attribute=attribute,
-                        cells=cells,
-                    ):
-                        cube = CandidateCube(self._slices, axis, specs)
-                    self._index._bump("cube_builds")
-            with self._lock:
-                self._cubes[key] = cube
-            return cube
+            specs = self._child_specs(side, attribute)
+            cells = 0 if axis is None else self._admit(axis.n_values, specs)
+            if not cells:
+                return None
+            return self._build_cube(self._slices, axis, specs, cells)
 
-    def filter_route(
+        return self._source(("cube", side, attribute), build)
+
+    def _build_cube(
+        self,
+        slices: StepSlices,
+        axis: FilterAxis,
+        specs: tuple[RatingMapSpec, ...],
+        cells: int,
+        **sibling: Any,
+    ) -> CandidateCube:
+        with obs_span(
+            "index.cube.build",
+            side=axis.side.value,
+            attribute=axis.attribute,
+            cells=cells,
+        ):
+            cube = CandidateCube(slices, axis, specs, **sibling)
+        self._index._bump("cube_builds")
+        return cube
+
+    def sibling_cube(self, pair: AVPair) -> CandidateCube | None:
+        """The cube serving every CHANGE of the parent's ``pair``.
+
+        Each CHANGE ⟨a, v⟩→⟨a, v′⟩ is a FILTER child of the sibling group
+        (the parent without ⟨a, v⟩), with the parent's own specs — a stays
+        fixed — so one cube on axis a over the sibling group's own slices
+        serves all of a's CHANGE values (categorical/numeric pairs only).
+        """
+
+        def build() -> CandidateCube | None:
+            axis = self._index.axis(pair.side, pair.attribute)
+            cells = 0 if axis is None else self._admit(axis.n_values, self._specs)
+            if not cells:
+                return None
+            slices = StepSlices(
+                self._db,
+                self._index.rows_for(self._parent.criteria.without_pair(pair)),
+                on_pair_build=self._on_pair_build,
+            )
+            return self._build_cube(
+                slices,
+                axis,
+                self._specs,
+                cells,
+                sibling=True,
+                parent_code=axis.code_of(pair.value),
+            )
+
+        return self._source(("change", pair), build)
+
+    def sibling_group(self, pair: AVPair) -> "_SiblingCandidate | None":
+        """The GENERALIZE candidate dropping ``pair``, from the sibling cube."""
+        cube = self.sibling_cube(pair)
+        if cube is None:
+            return None
+        criteria = self._parent.criteria.without_pair(pair)
+        return _SiblingCandidate(
+            criteria, tuple(enumerate_map_specs(self._db, criteria)), cube
+        )
+
+    def containment(self, side: Side, attribute: str) -> ContainmentFamily | None:
+        """The stacked family of a multi-valued attribute's FILTERs."""
+
+        def build() -> ContainmentFamily | None:
+            column = self._db.entity_table(side).column(attribute)
+            specs = self._child_specs(side, attribute)
+            if not isinstance(column, MultiValuedColumn) or not self._admit(
+                len(column.members), specs
+            ):
+                return None
+            with obs_span(
+                "index.containment.build", side=side.value, attribute=attribute
+            ):
+                return ContainmentFamily(
+                    self._slices, side, attribute, column, specs
+                )
+
+        return self._source(("containment", side, attribute), build)
+
+    def family_route(
         self, operation: Operation
-    ) -> "tuple[CandidateCube, int | None] | None":
-        """The fused-cube route of a clean single-added-pair FILTER.
+    ) -> "tuple[CandidateCube | ContainmentFamily, int | None] | None":
+        """The fused family serving one candidate, and its member code.
 
-        Returns the family cube and the added value's code (``None`` code =
-        out-of-domain value, an empty candidate), or ``None`` when the
-        operation is not cube-servable (GENERALIZE/CHANGE/compound edits,
-        multi-valued attributes, over-budget cubes) and must take the
-        posting-list path.  The batched family scorer groups candidates by
-        this route.
+        * a FILTER on a categorical/numeric attribute → the parent's cube;
+        * a FILTER on a multi-valued attribute → the containment family;
+        * a CHANGE of a categorical/numeric pair → that pair's sibling cube.
+
+        The code is ``None`` for an out-of-domain value (an empty
+        candidate).  Returns ``None`` for everything else — GENERALIZE,
+        multi-valued CHANGE, compounds, over-budget families — which the
+        batched family scorer treats as loose candidates.
         """
         target = operation.target
         parent_pairs = self._parent.criteria.pairs
         added = tuple(target.pairs - parent_pairs)
         removed = tuple(parent_pairs - target.pairs)
-        if len(added) == 1 and not removed:
-            pair = added[0]
-            cube = self.cube(pair.side, pair.attribute)
-            if cube is not None:
-                return cube, cube.axis.code_of(pair.value)
-        return None
+        if len(added) != 1 or len(removed) > 1:
+            return None
+        pair = added[0]
+        source: CandidateCube | ContainmentFamily | None
+        if not removed:
+            source = self.cube(pair.side, pair.attribute) or self.containment(
+                pair.side, pair.attribute
+            )
+        elif removed[0].side is pair.side and removed[0].attribute == pair.attribute:
+            source = self.sibling_cube(removed[0])
+        else:
+            return None
+        if source is None:
+            return None
+        return source, source.code_of(pair.value)
 
-    def count_cube_candidates(self, n: int) -> None:
-        """Attribute ``n`` cube-served candidates to the index counters."""
-        self._index._bump("candidates_cube", n)
+    def count_candidates(self, route: str, n: int) -> None:
+        """Attribute ``n`` family-served candidates to the index counters."""
+        self._index._bump(f"candidates_{route}", n)
 
-    def candidate(self, operation: Operation) -> "_CubeCandidate | _RowsCandidate":
+    def candidate(
+        self, operation: Operation
+    ) -> "_FamilyCandidate | _SiblingCandidate | _RowsCandidate":
         """The cheapest exact statistics view of one candidate operation."""
-        route = self.filter_route(operation)
+        route = self.family_route(operation)
         if route is not None:
-            cube, code = route
-            self._index._bump("candidates_cube")
-            return _CubeCandidate(cube, code, operation.target)
+            source, code = route
+            self.count_candidates(source.route, 1)
+            return _FamilyCandidate(source, code, operation.target)
+        parent_pairs = self._parent.criteria.pairs
+        removed = tuple(parent_pairs - operation.target.pairs)
+        if len(removed) == 1 and operation.target.pairs < parent_pairs:
+            group = self.sibling_group(removed[0])
+            if group is not None:
+                self.count_candidates("sibling", 1)
+                return group
         return _RowsCandidate(self, operation.target)
 
 
-class _CubeCandidate:
-    """A clean FILTER candidate served from a fused cube slice."""
+class _FamilyCandidate:
+    """A candidate served from one member of a fused family."""
 
     def __init__(
         self,
-        cube: CandidateCube,
+        source: CandidateCube | ContainmentFamily,
         code: int | None,
         target: SelectionCriteria,
     ) -> None:
-        self._cube = cube
+        self._source = source
         self._code = code
         self.criteria = target
 
     @property
     def size(self) -> int:
-        return 0 if self._code is None else self._cube.candidate_size(self._code)
+        return self._source.candidate_size(self._code)
 
     def matches_parent(self, parent_size: int) -> bool:
-        # a FILTER child is a subset of the parent, so equal size ⇒ equal rows
-        return self.size == parent_size
+        return self._source.redundant(self._code, parent_size)
 
     @property
     def specs(self) -> tuple[RatingMapSpec, ...]:
-        return self._cube.specs
+        return self._source.specs
 
     def counts_of(self, spec: RatingMapSpec) -> np.ndarray:
         if self._code is None:
-            return self._cube.zero_counts(spec)
-        return self._cube.candidate_counts(self._code, spec)
+            return self._source.zero_counts(spec)
+        return self._source.candidate_counts(self._code, spec)
+
+    def labels_of(self, spec: RatingMapSpec) -> tuple[Any, ...]:
+        return self._source.labels_of(spec)
+
+
+class _SiblingCandidate:
+    """A GENERALIZE candidate: the sibling group, summed from its cube."""
+
+    def __init__(
+        self,
+        criteria: SelectionCriteria,
+        specs: tuple[RatingMapSpec, ...],
+        cube: CandidateCube,
+    ) -> None:
+        self._cube = cube
+        self.criteria = criteria
+        self.specs = specs
+        self.size = cube.group_size
+
+    def matches_parent(self, parent_size: int) -> bool:
+        # the sibling group is a superset of the parent
+        return self.size == parent_size
+
+    def counts_of(self, spec: RatingMapSpec) -> np.ndarray:
+        return self._cube.group_counts(spec)
 
     def labels_of(self, spec: RatingMapSpec) -> tuple[Any, ...]:
         return self._cube.labels_of(spec)

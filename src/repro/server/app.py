@@ -1798,6 +1798,8 @@ class SubDExServer(ThreadingHTTPServer):
                 for kind in (
                     "cube_builds",
                     "candidates_cube",
+                    "candidates_sibling",
+                    "candidates_containment",
                     "candidates_delta",
                     "candidates_direct",
                 ):

@@ -1,8 +1,9 @@
 """Progressive (anytime) recommendation semantics against the full oracle.
 
-Satellite 4: for every ladder rung the returned RM-set is a subset of
-the full-run oracle universe with a completeness descriptor that tells
-the truth — across databases with missing values and empty groups.
+For every ladder rung the returned recommendations are drawn from the
+full-run oracle universe, with a completeness descriptor that tells the
+truth; a budget cut returns exactly the full run's best over the scanned
+prefix — across databases with missing values and empty groups.
 """
 
 from __future__ import annotations
@@ -70,10 +71,33 @@ def test_unbudgeted_run_matches_stored_step_recommendations(tiny_engine):
 
 # -- budget cuts --------------------------------------------------------------
 
+def _scan_order(session) -> list:
+    """The candidates ``recommendations_anytime`` scans, in scan order."""
+    visited = {s.criteria for s in session.steps} | {session.criteria}
+    operations = session.recommender.candidate_operations(session.criteria)
+    kept = [op for op in operations if op.target not in visited]
+    return kept or operations
+
+
+def _prefix_top(full, operations, scanned: int, o: int) -> list:
+    """The full run's top-o restricted to the first ``scanned`` candidates."""
+    prefix = {op.target for op in operations[:scanned]}
+    return [s for s in full.recommendations if s.target in prefix][:o]
+
+
 def test_forced_cut_yields_honest_partial(tiny_engine):
+    """A cut returns the best of what it scanned — exactly.
+
+    A best-so-far top-o over a scanned prefix is *not* in general a
+    subset of the final top-o (later candidates displace earlier ones).
+    The exact invariant: the cut equals the top-o, in the same
+    ``(-utility, description)`` order and with the same utilities, of the
+    full run's scored candidates restricted to the scanned prefix.
+    """
     session = tiny_engine.session()
     session.step()
-    full = session.recommendations_anytime()
+    o = tiny_engine.recommender.config.o
+    full = session.recommendations_anytime(o=EVERYTHING)
     cut = session.recommendations_anytime(force_cut_after=1)
     assert cut.is_partial
     assert cut.completeness.budget_cut
@@ -81,7 +105,11 @@ def test_forced_cut_yields_honest_partial(tiny_engine):
     assert 0 < cut.completeness.candidates_scanned
     assert cut.completeness.candidates_scanned < cut.completeness.candidates_total
     assert cut.completeness.candidates_total == full.completeness.candidates_total
-    assert _targets(cut.recommendations) <= _targets(full.recommendations)
+    expected = _prefix_top(
+        full, _scan_order(session), cut.completeness.candidates_scanned, o
+    )
+    assert expected
+    assert _keys(cut.recommendations) == _keys(expected)
     _check_invariants(cut.completeness)
 
 
@@ -125,7 +153,7 @@ def test_snapshots_stream_best_so_far(tiny_engine):
     assert _keys(seen[-1]) == _keys(result.recommendations)
 
 
-# -- satellite 4: every rung stays inside the full-run oracle ----------------
+# -- every rung stays inside the full-run oracle ------------------------------
 
 @pytest.mark.parametrize("missing", [0.0, 0.3])
 def test_every_rung_is_subset_of_oracle(db_factory, missing):

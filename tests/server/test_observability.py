@@ -179,6 +179,29 @@ class TestMetricsFormats:
         assert 'subdex_cache_events_total{dataset="tiny",cache="group",kind="hits"}' in text
         assert 'subdex_breaker_open{dataset="tiny"} 0' in text
         assert 'subdex_traces{kind="recorded"}' in text
+        for kind in (
+            "candidates_cube",
+            "candidates_sibling",
+            "candidates_containment",
+            "candidates_delta",
+            "candidates_direct",
+        ):
+            assert (
+                f'subdex_index_events_total{{dataset="tiny",kind="{kind}"}}'
+                in text
+            ), kind
+
+    def test_index_section_reports_every_route(self, client):
+        client.create_session()
+        index = client.metrics()["caches"]["tiny"]["index"]
+        assert {
+            "candidates_cube",
+            "candidates_sibling",
+            "candidates_containment",
+            "candidates_delta",
+            "candidates_direct",
+        } <= set(index)
+        assert index["candidates_cube"] > 0
 
     def test_unknown_format_400(self, client):
         with pytest.raises(ServerError) as exc:
