@@ -17,10 +17,13 @@ This package holds the pieces the serving layers compose:
 * :mod:`repro.anytime.refine` — refinement tokens whose background jobs
   finish what the budget cut short.
 
-The cooperative loop itself lives on
-:meth:`repro.core.recommend.RecommendationBuilder.recommend_anytime`;
-with no budget and no plan it reproduces ``recommend`` exactly, so the
-unbudgeted path stays byte-identical.
+The cooperative loop itself is the recommendation scan
+(``RecommendationBuilder._scan`` in :mod:`repro.core.recommend`), which
+both ``recommend`` and
+:meth:`~repro.core.recommend.RecommendationBuilder.recommend_anytime`
+run: a budget or a forced cut splits it into worker-sized blocks, and
+without either it is one block — so with no budget and no plan
+``recommend_anytime`` *is* ``recommend``, byte for byte.
 """
 
 from .budget import budget_deadline, effective_deadline, parse_budget_ms

@@ -84,8 +84,8 @@ class QualityLadder:
 
     The caps are tunable so deployments can widen or narrow the rungs;
     the defaults keep each rung strictly no more expensive than the one
-    above it (``REDUCED_POOL`` matches the existing
-    ``pressure_candidate_cap`` degradation).
+    above it (``REDUCED_POOL`` matches the recommender's
+    ``PRESSURE_CANDIDATE_CAP`` degradation).
     """
 
     def __init__(

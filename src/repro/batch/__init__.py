@@ -12,7 +12,6 @@ from .scoring import (
     FamilyBatchScorer,
     FamilyPlan,
     plan_lookup,
-    plan_units,
     supports_batch,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "FamilyBatchScorer",
     "FamilyPlan",
     "plan_lookup",
-    "plan_units",
     "supports_batch",
 ]

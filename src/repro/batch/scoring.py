@@ -18,9 +18,9 @@ the route from the operation's shape — no configuration involved:
   over-budget families run as one-candidate stacks over posting rows
   (delta/direct counts).
 
-1. **plan** — :func:`plan_units` splits the neighbourhood into family
-   units and blocks of loose candidates, which run as one-candidate
-   stacks through the same kernel;
+1. **plan** — :func:`plan_lookup` maps every candidate to its family
+   membership (or to none: a loose candidate runs as a one-candidate stack
+   through the same kernel);
 2. **stack** — each family stacks its members' slices into one
    ``(candidate, subgroup, bucket)`` count tensor per spec and runs the
    bitwise-exact fused kernel (:mod:`repro.batch.kernel`) to get every
@@ -28,10 +28,7 @@ the route from the operation's shape — no configuration involved:
 3. **prune** — a candidate's Eq.-(2) utility (Σ DW over the k *selected*
    maps) is bounded above by the Σ of its top-k pool DW utilities, so
    candidates are finalised in descending-bound order and the loop stops
-   once the bound falls below the o-th best exact utility.  One-shot
-   requests push this further: every family is *prepared* (kernel only)
-   first and a single request-global queue finalises candidates
-   best-bound-first, so the threshold warms up as fast as possible;
+   once the bound falls below the o-th best exact utility;
 4. **exact-score cheaply, materialise lazily** — a surviving candidate's
    *exact* utility needs only the GMM selection over its pool maps'
    profiles, not the materialised preview: profiles (subgroup means and
@@ -40,21 +37,24 @@ the route from the operation's shape — no configuration involved:
    maps bit for bit.  The full preview — through the ordinary
    ``generate_from_counts`` pipeline with the kernel's raw scores
    injected, byte-identical to the per-candidate oracle — is materialised
-   only for candidates that actually reach a returned top-o (or an
-   anytime snapshot).
+   only for candidates that actually reach a returned top-o.
 
-The anytime loop keeps its original scan order: :func:`plan_lookup` maps
-every operation to its family membership, and :meth:`FamilyBatchScorer.
-score_scan_block` walks a worker-sized chunk in scan order, lazily running
-each family's kernel pass the first time one of its members is scanned.
-Snapshot, budget-cut and ``force_cut_after`` semantics are therefore
-identical to the per-candidate path — only the arithmetic is batched.
+**Blocks.**  The recommendation scan hands the scorer its candidates in
+blocks (:meth:`FamilyBatchScorer.score_block`).  A block first prepares
+each member — its family's kernel pass, run once when the family's first
+member is seen in any block, or its one-candidate row stack — and then
+evaluates the block's candidates best-bound-first against the
+request-wide threshold.  An unbudgeted request is one block: everything is
+prepared, then one global queue prunes the tail in a single cut.  A
+budgeted scan uses worker-sized blocks in scan order, so its snapshot,
+budget-cut and ``force_cut_after`` boundaries are those of the
+per-candidate path; a bound-pruned candidate provably cannot reach the
+top-o, so pruning never changes a snapshot.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -83,7 +83,7 @@ from ..resilience.gate import under_pressure
 from .kernel import FamilyScores, batch_family_dw, batch_family_scores
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: index builds on core
-    from ..core.recommend import RecommenderConfig, ScoredOperation
+    from ..core.recommend import ScoredOperation
     from ..index.cubes import CandidateCube, ContainmentFamily
     from ..index.facade import NeighborhoodContext
 
@@ -92,9 +92,7 @@ __all__ = [
     "PreparedFamily",
     "PreparedRows",
     "BatchScored",
-    "BatchUnit",
     "supports_batch",
-    "plan_units",
     "plan_lookup",
     "pools_and_bounds",
     "FamilyBatchScorer",
@@ -210,7 +208,6 @@ class PreparedRows:
     dw: np.ndarray
     pools: list[list[int]]
     bounds: np.ndarray
-    n_scored: int
 
     def operation(self, c: int) -> Operation:
         return self.op
@@ -228,14 +225,13 @@ class PreparedRows:
 class BatchScored:
     """A batch-scored candidate: exact utility now, preview on demand.
 
-    Ranking (and the anytime re-ranks) only needs ``operation`` and
-    ``utility``; :meth:`materialize` builds the full
-    :class:`~repro.core.recommend.ScoredOperation` — with the preview the
-    per-candidate oracle would produce — the first time the candidate
-    actually makes a returned top-o, and caches it.
+    Ranking only needs ``operation`` and ``utility``; :meth:`materialize`
+    builds the full :class:`~repro.core.recommend.ScoredOperation` — with
+    the preview the per-candidate oracle would produce — for the
+    candidates that actually make the returned top-o.
     """
 
-    __slots__ = ("operation", "utility", "_scorer", "_prepared", "_c", "_final")
+    __slots__ = ("operation", "utility", "_scorer", "_prepared", "_c")
 
     def __init__(
         self,
@@ -250,62 +246,11 @@ class BatchScored:
         self._scorer = scorer
         self._prepared = prepared
         self._c = c
-        self._final: "ScoredOperation | None" = None
 
     def materialize(self) -> "ScoredOperation | None":
-        if self._final is None:
-            self._final = self._scorer.materialize_candidate(
-                self._prepared, self._c, self.utility
-            )
-        return self._final
-
-
-#: A scoring unit: a batched family or a block of loose candidates.
-BatchUnit = "FamilyPlan | list[Operation]"
-
-
-def _family_of(
-    ctx: "NeighborhoodContext",
-    operation: Operation,
-    families: "dict[int, FamilyPlan]",
-) -> "tuple[FamilyPlan, bool] | None":
-    """Append ``operation`` to its family (``True`` when the family is new)."""
-    route = ctx.family_route(operation)
-    if route is None:
-        return None
-    source, code = route
-    family = families.get(id(source))
-    fresh = family is None
-    if fresh:
-        family = families[id(source)] = FamilyPlan(source)
-    family.operations.append(operation)
-    family.codes.append(code)
-    return family, fresh
-
-
-def plan_units(
-    ctx: "NeighborhoodContext",
-    operations: Sequence[Operation],
-    residue_chunk: int,
-) -> list["FamilyPlan | list[Operation]"]:
-    """Split the neighbourhood into family and loose units, in first-
-    appearance order (so anytime snapshots stay roughly scan-ordered)."""
-    units: list[FamilyPlan | list[Operation]] = []
-    families: dict[int, FamilyPlan] = {}
-    block: list[Operation] = []
-    chunk = max(1, int(residue_chunk))
-    for operation in operations:
-        member = _family_of(ctx, operation, families)
-        if member is None:
-            block.append(operation)
-            if len(block) >= chunk:
-                units.append(block)
-                block = []
-        elif member[1]:
-            units.append(member[0])
-    if block:
-        units.append(block)
-    return units
+        return self._scorer.materialize_candidate(
+            self._prepared, self._c, self.utility
+        )
 
 
 def plan_lookup(
@@ -314,20 +259,26 @@ def plan_lookup(
 ) -> "dict[int, tuple[FamilyPlan, int] | None]":
     """Map each operation (by id) to its family membership.
 
-    The anytime loop scans candidates in their original order — so its
-    snapshot and budget-cut boundaries are exactly the per-candidate
-    path's — and uses this lookup to batch the *arithmetic* by family:
-    the first scanned member of a family triggers the whole family's
-    kernel pass.  Loose candidates map to ``None`` (the one-candidate
-    stack of :meth:`FamilyBatchScorer.prepare_rows`).
+    The scan visits candidates in their original order and uses this
+    lookup to batch the *arithmetic* by family: the first scanned member
+    of a family triggers the whole family's kernel pass.  Loose candidates
+    map to ``None`` (the one-candidate stack of
+    :meth:`FamilyBatchScorer.prepare_rows`).
     """
     lookup: "dict[int, tuple[FamilyPlan, int] | None]" = {}
     families: dict[int, FamilyPlan] = {}
     for operation in operations:
-        member = _family_of(ctx, operation, families)
-        lookup[id(operation)] = (
-            None if member is None else (member[0], len(member[0]) - 1)
-        )
+        route = ctx.family_route(operation)
+        if route is None:
+            lookup[id(operation)] = None
+            continue
+        source, code = route
+        family = families.get(id(source))
+        if family is None:
+            family = families[id(source)] = FamilyPlan(source)
+        lookup[id(operation)] = (family, len(family))
+        family.operations.append(operation)
+        family.codes.append(code)
     return lookup
 
 
@@ -364,23 +315,24 @@ def pools_and_bounds(
 
 
 class FamilyBatchScorer:
-    """Scores family units for one recommendation request.
+    """Scores the blocks of one recommendation request.
 
     Holds the request-scoped state the upper-bound prune needs: the top-o
     exact utilities seen so far, across families *and* loose candidates
-    (every exact evaluation feeds it through :meth:`note_exact`).
+    (every exact evaluation feeds it through :meth:`note_exact`).  A scorer
+    is driven by one thread, the request's.
     """
 
     def __init__(
         self,
         ctx: "NeighborhoodContext",
-        config: "RecommenderConfig",
         generator: RMSetGenerator,
         seen: SeenMaps,
         o: int,
+        min_group_size: int,
     ) -> None:
         self._ctx = ctx
-        self._config = config
+        self._min_group_size = min_group_size
         self._generator = generator
         self._seen = seen
         self._o = max(1, int(o))
@@ -397,7 +349,6 @@ class FamilyBatchScorer:
             seen.dimension_history(), seen.dimensions
         )
         self._top: list[float] = []  # min-heap of the o best exact utilities
-        self._lock = threading.Lock()
         self._families: "dict[int, PreparedFamily | None]" = {}
         self.stats = {
             "families": 0,
@@ -412,17 +363,15 @@ class FamilyBatchScorer:
     # -- the global exact-utility threshold ---------------------------------
     def note_exact(self, utility: float) -> None:
         """Record one candidate's exact utility (family or loose path)."""
-        with self._lock:
-            if len(self._top) < self._o:
-                heapq.heappush(self._top, utility)
-            elif utility > self._top[0]:
-                heapq.heapreplace(self._top, utility)
+        if len(self._top) < self._o:
+            heapq.heappush(self._top, utility)
+        elif utility > self._top[0]:
+            heapq.heapreplace(self._top, utility)
 
     def _threshold(self) -> float:
-        with self._lock:
-            if len(self._top) < self._o:
-                return float("-inf")
-            return self._top[0]
+        if len(self._top) < self._o:
+            return float("-inf")
+        return self._top[0]
 
     # -- per-spec weights (constant across a family's candidates) -----------
     def _spec_weight(self, spec: RatingMapSpec) -> float:
@@ -435,28 +384,27 @@ class FamilyBatchScorer:
             weight *= self._seen.attribute_weight((spec.side, spec.attribute))
         return weight
 
-    # -- family scoring ------------------------------------------------------
-    def score_scan_block(
+    # -- block scoring -------------------------------------------------------
+    def score_block(
         self,
         operations: Sequence[Operation],
         lookup: "dict[int, tuple[FamilyPlan, int] | None]",
     ) -> tuple["list[BatchScored | None]", int]:
-        """Score one scan-ordered block (the anytime form).
+        """Score one block of the scan.
 
-        Candidates are visited in their original scan order — so snapshot
-        contents, best-so-far rankings and budget-cut boundaries are
-        identical to the per-candidate path — while each family's kernel
-        pass still runs exactly once, triggered lazily by its first
-        scanned member.  Returns per-operation results aligned with
-        ``operations`` (``None`` for size-gated, empty-pool and
-        bound-pruned candidates) plus the number of *scored* candidates —
-        those whose preview pool is non-empty, whether or not the prune
-        skipped their evaluation (a pruned candidate provably cannot sit
-        in the current top-o, so prunes never change a snapshot).
+        Step 1 prepares every member: its family's kernel pass (run once,
+        on the family's first member in any block) or its one-candidate
+        row stack.  Step 2 evaluates the block's candidates best-bound-first
+        against the shared threshold and prunes the tail in one cut — a
+        candidate is only skipped when its bound proves it cannot reach the
+        top-o, so the order changes no result.  Returns per-operation
+        results aligned with ``operations`` (``None`` for size-gated,
+        empty-pool and bound-pruned candidates) plus the number of *scored*
+        candidates — those whose preview pool is non-empty, whether or not
+        the prune skipped their evaluation.
         """
         with obs_span("batch.scan", candidates=len(operations)) as sp:
-            results: "list[BatchScored | None]" = [None] * len(operations)
-            n_scored = evaluated = pruned = 0
+            queue: "list[tuple[float, int, PreparedFamily | PreparedRows, int]]" = []
             for i, operation in enumerate(operations):
                 check_deadline()
                 member = lookup.get(id(operation))
@@ -464,59 +412,49 @@ class FamilyBatchScorer:
                     ready: "PreparedFamily | PreparedRows | None" = (
                         self.prepare_rows(operation)
                     )
-                    c = 0
-                    if ready is None:
-                        continue
+                    c: "int | None" = 0
                 else:
                     family, index = member
                     ready = self._family(family)
-                    if ready is None:
-                        continue
-                    at = ready.candidate_of(index)
-                    if at is None or not ready.pools[at]:
-                        continue
-                    c = at
-                n_scored += 1
-                if ready.bounds[c] < self._threshold() - _PRUNE_MARGIN:
-                    pruned += 1
-                    continue
+                    c = None if ready is None else ready.candidate_of(index)
+                if ready is not None and c is not None and ready.pools[c]:
+                    queue.append((float(ready.bounds[c]), i, ready, c))
+            queue.sort(key=lambda entry: (-entry[0], entry[1]))
+            results: "list[BatchScored | None]" = [None] * len(operations)
+            evaluated = pruned = 0
+            for position, (bound, i, ready, c) in enumerate(queue):
+                check_deadline()
+                if bound < self._threshold() - _PRUNE_MARGIN:
+                    pruned = len(queue) - position
+                    break
                 results[i] = self.evaluate_candidate(ready, c)
                 evaluated += 1
-            sp.set(scored=n_scored, evaluated=evaluated, pruned=pruned)
-        with self._lock:
-            self.stats["evaluated"] += evaluated
-            self.stats["pruned"] += pruned
-        return results, n_scored
+            sp.set(scored=len(queue), evaluated=evaluated, pruned=pruned)
+        self.stats["evaluated"] += evaluated
+        self.stats["pruned"] += pruned
+        return results, len(queue)
 
     def _family(self, family: FamilyPlan) -> "PreparedFamily | None":
-        """The family's kernel pass, run once on first scanned member."""
+        """The family's kernel pass, run once on its first scanned member.
+
+        Returns ``None`` when no candidate survives the size gates.
+        """
         key = id(family)
         if key not in self._families:
-            self._families[key] = self.prepare_family(family)
+            source = family.source
+            with obs_span(
+                "batch.score",
+                side=source.side.value,
+                attribute=source.attribute,
+                route=source.route,
+                candidates=len(family),
+            ) as sp:
+                prepared = self._prepare(family)
+                sp.set(scored=prepared.n_scored if prepared is not None else 0)
+            self._families[key] = prepared
         return self._families[key]
 
-    def prepare_family(self, family: FamilyPlan) -> "PreparedFamily | None":
-        """Kernel pass only: raw criteria, DW matrix and utility bounds.
-
-        One-shot requests prepare every family first and finalise through
-        :meth:`finalize_prepared`, which maximises what the shared
-        threshold can prune.  Returns ``None`` when no candidate survives
-        the size gates.
-        """
-        source = family.source
-        with obs_span(
-            "batch.score",
-            side=source.side.value,
-            attribute=source.attribute,
-            route=source.route,
-            candidates=len(family),
-        ) as sp:
-            prepared = self._prepare(family)
-            sp.set(scored=prepared.n_scored if prepared is not None else 0)
-        return prepared
-
     def _prepare(self, family: FamilyPlan) -> "PreparedFamily | None":
-        config = self._config
         source = family.source
         parent_size = self._ctx.parent_size
         sizes = [source.candidate_size(code) for code in family.codes]
@@ -526,7 +464,7 @@ class FamilyBatchScorer:
             i
             for i, (code, size) in enumerate(zip(family.codes, sizes))
             if code is not None
-            and size >= config.min_group_size
+            and size >= self._min_group_size
             and not source.redundant(code, parent_size)
         ]
         prepared: "PreparedFamily | None" = None
@@ -567,11 +505,10 @@ class FamilyBatchScorer:
                     bounds=bounds,
                     n_scored=n_scored,
                 )
-        with self._lock:
-            self.stats["families"] += 1
-            self.stats["candidates"] += len(family)
-            self.stats["batched"] += len(family)
-            self.stats["scored"] += n_scored
+        self.stats["families"] += 1
+        self.stats["candidates"] += len(family)
+        self.stats["batched"] += len(family)
+        self.stats["scored"] += n_scored
         return prepared
 
     # -- loose (familyless) candidates ---------------------------------------
@@ -589,7 +526,7 @@ class FamilyBatchScorer:
         prepared: "PreparedRows | None" = None
         n_scored = 0
         if (
-            size >= self._config.min_group_size
+            size >= self._min_group_size
             and not view.matches_parent(self._ctx.parent_size)
         ):
             specs = view.specs
@@ -627,12 +564,10 @@ class FamilyBatchScorer:
                         dw=dw,
                         pools=pools,
                         bounds=bounds,
-                        n_scored=1,
                     )
-        with self._lock:
-            self.stats["candidates"] += 1
-            self.stats["batched"] += 1
-            self.stats["scored"] += n_scored
+        self.stats["candidates"] += 1
+        self.stats["batched"] += 1
+        self.stats["scored"] += n_scored
         return prepared
 
     # -- exact utility without materialisation -------------------------------
@@ -723,41 +658,7 @@ class FamilyBatchScorer:
             self._seen,
             raw_scores=raw,
         )
-        with self._lock:
-            self.stats["materialized"] += 1
+        self.stats["materialized"] += 1
         if not preview.selected:  # pragma: no cover - pool ⇒ selected
             return None
         return ScoredOperation(prepared.operation(c), utility, preview)
-
-    def finalize_prepared(
-        self, prepared: "Sequence[PreparedFamily | PreparedRows]"
-    ) -> "list[BatchScored]":
-        """Exact-score all prepared families through one global bound queue.
-
-        Candidates across every family are evaluated best-bound-first, so
-        the o-th best exact utility rises as fast as possible and the
-        remaining tail is pruned in one cut.  Order does not affect the
-        result: a candidate is only skipped when its upper bound proves it
-        cannot reach the top-o.
-        """
-        queue: list[tuple[float, int, int]] = []
-        for fi, family in enumerate(prepared):
-            for c in range(len(family.pools)):
-                if family.pools[c]:
-                    queue.append((family.bounds[c], fi, c))
-        queue.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
-        results: "list[BatchScored]" = []
-        evaluated = pruned = 0
-        with obs_span("batch.finalize", candidates=len(queue)) as sp:
-            for position, (bound, fi, c) in enumerate(queue):
-                check_deadline()
-                if bound < self._threshold() - _PRUNE_MARGIN:
-                    pruned = len(queue) - position
-                    break
-                results.append(self.evaluate_candidate(prepared[fi], c))
-                evaluated += 1
-            sp.set(evaluated=evaluated, pruned=pruned)
-        with self._lock:
-            self.stats["evaluated"] += evaluated
-            self.stats["pruned"] += pruned
-        return results

@@ -6,10 +6,16 @@ of the k rating maps its rating group would display — i.e. the RM-Set
 Generator is reused as the scoring oracle, which is exactly how the paper
 recommends maps and operations *simultaneously*.
 
-Scoring independent candidates is embarrassingly parallel; the builder
-evaluates them on a thread pool (the histogram accumulation is numpy-bound
-and releases the GIL).  ``parallel=False`` gives the paper's No-Parallelism
-baseline.
+One loop, :meth:`RecommendationBuilder._scan`, serves both entry points:
+:meth:`~RecommendationBuilder.recommend` is the scan with no budget, and
+:meth:`~RecommendationBuilder.recommend_anytime` the same scan with a soft
+budget, a quality-ladder rung or a forced cut.  Candidates are scored by
+the family-batched kernel (:mod:`repro.batch`) on the request's thread.
+The per-candidate paths — the naive oracle, full-pipeline previews and
+configurations the kernel does not cover — evaluate independent
+candidates on a thread pool instead (the histogram accumulation is
+numpy-bound and releases the GIL); ``parallel=False`` gives the paper's
+No-Parallelism baseline there.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -32,9 +38,7 @@ from ..anytime.partial import AnytimeRecommendation, Completeness
 from ..batch.scoring import (
     BatchScored,
     FamilyBatchScorer,
-    FamilyPlan,
     plan_lookup,
-    plan_units,
     supports_batch,
 )
 from ..model.database import SubjectiveDatabase
@@ -56,6 +60,16 @@ from .utility import SeenMaps
 
 __all__ = ["RecommenderConfig", "ScoredOperation", "RecommendationBuilder"]
 
+#: Operations whose rating group is smaller than this are discarded: too
+#: few records to chart.
+MIN_GROUP_SIZE = 5
+#: Phases of the default (exact, unpruned) candidate preview.
+PREVIEW_N_PHASES = 1
+#: Under load pressure (see :mod:`repro.resilience.gate`) only the first
+#: this-many candidate operations are scored — recommendation quality
+#: degrades before availability does.
+PRESSURE_CANDIDATE_CAP = 16
+
 
 @dataclass(frozen=True)
 class RecommenderConfig:
@@ -63,12 +77,11 @@ class RecommenderConfig:
 
     ``o`` is the number of recommendations (paper default 3);
     ``max_values_per_attribute`` caps the FILTER/CHANGE fan-out per
-    attribute (most frequent values first); ``min_group_size`` discards
-    operations whose rating group is too small to chart.
+    attribute (most frequent values first).
 
     ``preview_uses_full_pipeline`` controls how candidate operations are
     scored.  By default each candidate's rating maps are computed with a
-    single exact pass (``preview_n_phases`` = 1, no pruning): the phased
+    single exact pass (``PREVIEW_N_PHASES``, no pruning): the phased
     pruning framework exists to cut *scan* cost, but for in-memory
     candidate scoring a single vectorised pass is both faster and exact.
     The scalability benches set ``preview_uses_full_pipeline=True`` so the
@@ -78,22 +91,14 @@ class RecommenderConfig:
 
     o: int = 3
     max_values_per_attribute: int | None = None
-    include_compound: bool = False
-    min_group_size: int = 5
     parallel: bool = True
-    max_workers: int | None = None
     preview_uses_full_pipeline: bool = False
-    preview_n_phases: int = 1
-    #: Under load pressure (see :mod:`repro.resilience.gate`) only the
-    #: first this-many candidate operations are scored — recommendation
-    #: quality degrades before availability does.
-    pressure_candidate_cap: int = 16
 
     def workers(self) -> int:
+        """Scoring threads of the per-candidate paths, and the candidate
+        count of one block of a budgeted scan."""
         if not self.parallel:
             return 1
-        if self.max_workers is not None:
-            return max(1, self.max_workers)
         return max(1, os.cpu_count() or 1)
 
 
@@ -135,12 +140,12 @@ class RecommendationBuilder:
             self._preview_generator = RMSetGenerator(
                 replace(
                     generator.config,
-                    n_phases=max(1, self._config.preview_n_phases),
+                    n_phases=PREVIEW_N_PHASES,
                     pruning=PruningStrategy.NONE,
                 )
             )
-        # shared scoring pool: created once on first parallel request and
-        # reused for the builder's lifetime (no per-request thread churn)
+        # per-candidate scoring pool: created on first use and reused for
+        # the builder's lifetime (no per-request thread churn)
         self._pool_lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
         self._batch_lock = threading.Lock()
@@ -190,14 +195,6 @@ class RecommendationBuilder:
                 )
             return self._executor
 
-    def _use_batch(self, ctx: "NeighborhoodContext | None") -> bool:
-        """Family batching needs the index context and a kernel-covered config."""
-        return (
-            ctx is not None
-            and self._batch_scoring
-            and supports_batch(self._preview_generator.config)
-        )
-
     def candidate_operations(self, current: SelectionCriteria) -> list[Operation]:
         """The enumerated (unscored) neighbourhood of ``current``."""
         return list(
@@ -205,7 +202,6 @@ class RecommendationBuilder:
                 self._database,
                 current,
                 max_values_per_attribute=self._config.max_values_per_attribute,
-                include_compound=self._config.include_compound,
             )
         )
 
@@ -219,19 +215,19 @@ class RecommendationBuilder:
         self,
         operation: Operation,
         seen: SeenMaps,
-        current_rows: "np.ndarray | None" = None,
-        generator: RMSetGenerator | None = None,
+        current_rows: np.ndarray,
+        generator: RMSetGenerator,
     ) -> ScoredOperation | None:
         group = self._materialise(operation.target)
-        if len(group) < self._config.min_group_size:
+        if len(group) < MIN_GROUP_SIZE:
             return None
-        if current_rows is not None and len(group) == len(current_rows):
+        if len(group) == len(current_rows):
             # §3.2.1: an operation generates a *new* rating group — adding a
             # redundant pair (1992 ⊆ 1990s) selects the same records and is
             # not a real move (it also causes add/remove oscillation in FA)
             if np.array_equal(group.rows, current_rows):
                 return None
-        preview = (generator or self._preview_generator).generate(group, seen)
+        preview = generator.generate(group, seen)
         if not preview.selected:
             return None
         return ScoredOperation(operation, preview.total_utility(), preview)
@@ -241,7 +237,7 @@ class RecommendationBuilder:
         ctx: "NeighborhoodContext",
         operation: Operation,
         seen: SeenMaps,
-        generator: RMSetGenerator | None = None,
+        generator: RMSetGenerator,
     ) -> ScoredOperation | None:
         """Score from sufficient statistics — no group materialisation.
 
@@ -252,11 +248,11 @@ class RecommendationBuilder:
         """
         view = ctx.candidate(operation)
         size = view.size
-        if size < self._config.min_group_size:
+        if size < MIN_GROUP_SIZE:
             return None
         if view.matches_parent(ctx.parent_size):
             return None
-        preview = (generator or self._preview_generator).generate_from_counts(
+        preview = generator.generate_from_counts(
             operation.target,
             view.specs,
             view.counts_of,
@@ -291,112 +287,97 @@ class RecommendationBuilder:
         """
         o = self._config.o if o is None else o
         with obs_span("engine.recommend") as sp:
-            operations = (
-                list(candidates)
-                if candidates is not None
-                else self.candidate_operations(current)
+            scan = self._scan(
+                current, seen, o, candidates, exclude_targets, current_group
             )
-            if exclude_targets:
-                filtered = [
-                    op for op in operations if op.target not in exclude_targets
-                ]
-                if filtered:
-                    operations = filtered
-            # Ambient request context (deadline, load pressure, active trace)
-            # lives in contextvars, which worker threads do not inherit:
-            # capture it here and re-install it around every pooled scoring
-            # call so candidate spans join this request's trace.
-            deadline = current_deadline()
-            pressure = under_pressure()
-            trace_ctx = obs_current_context()
-            if pressure:
-                operations = operations[: self._config.pressure_candidate_cap]
-            if current_group is None or current_group.criteria != current:
-                current_group = self._materialise(current)
-            current_rows = current_group.rows
-            # Sufficient-statistic fast path: candidates are scored from fused
-            # cube slices / delta-maintained histograms instead of per-candidate
-            # group scans.  The full-pipeline preview mode exercises the phased
-            # pruning machinery on purpose, so it keeps the group-based path.
-            ctx: "NeighborhoodContext | None" = None
-            if self._index is not None and not self._config.preview_uses_full_pipeline:
-                ctx = self._index.neighborhood(current_group)
-
-            def score(operation: Operation) -> ScoredOperation | None:
-                with deadline_scope(deadline), pressure_scope(pressure), \
-                        obs_activate(trace_ctx):
-                    if deadline is not None:
-                        deadline.check()
-                    if ctx is not None:
-                        return self._score_one_indexed(ctx, operation, seen)
-                    return self._score_one(operation, seen, current_rows)
-
-            workers = self._config.workers()
-            use_batch = self._use_batch(ctx)
-            pool = (
-                self._shared_pool()
-                if workers > 1 and len(operations) > 1
-                else None
-            )
-            if use_batch:
-                batch = FamilyBatchScorer(
-                    ctx, self._config, self._preview_generator, seen, o
-                )
-                units = plan_units(ctx, operations, workers)
-                families = [u for u in units if isinstance(u, FamilyPlan)]
-                residue = [
-                    op
-                    for u in units
-                    if not isinstance(u, FamilyPlan)
-                    for op in u
-                ]
-
-                def prep_rows(operation: Operation):
-                    with deadline_scope(deadline), pressure_scope(pressure), \
-                            obs_activate(trace_ctx):
-                        if deadline is not None:
-                            deadline.check()
-                        return batch.prepare_rows(operation)
-
-                if pool is not None and len(residue) > 1:
-                    rows_ready = list(pool.map(prep_rows, residue))
-                else:
-                    rows_ready = [prep_rows(op) for op in residue]
-                prepared = [ready for ready in rows_ready if ready is not None]
-                for family in families:
-                    if deadline is not None:
-                        deadline.check()
-                    ready = batch.prepare_family(family)
-                    if ready is not None:
-                        prepared.append(ready)
-                scored_count = sum(ready.n_scored for ready in prepared)
-                # one request-global queue: evaluate best-bound-first across
-                # all families and residue candidates, prune the tail in a
-                # single cut
-                scored = list(batch.finalize_prepared(prepared))
-            else:
-                if pool is not None:
-                    scored = list(pool.map(score, operations))
-                else:
-                    scored = [score(op) for op in operations]
-                scored_count = sum(1 for s in scored if s is not None)
-            ranked = self._rank(scored)
-            top = self._materialize_top(ranked, o)
-            if use_batch:
-                self._merge_batch_stats(
-                    batch.stats,
-                    fallback=len(operations) - batch.stats["candidates"],
-                )
             sp.set(
-                candidates=len(operations),
-                scored=scored_count,
-                indexed=ctx is not None,
-                batched=use_batch,
-                returned=len(top),
+                candidates=scan.total,
+                scored=scan.scored,
+                indexed=scan.indexed,
+                batched=scan.batched,
+                returned=len(scan.top),
             )
-            return top
+            return scan.top
 
-    # -- anytime --------------------------------------------------------------
+    def recommend_anytime(
+        self,
+        current: SelectionCriteria,
+        seen: SeenMaps,
+        budget: "Deadline | None" = None,
+        o: int | None = None,
+        plan: "RungPlan | None" = None,
+        candidates: Sequence[Operation] | None = None,
+        exclude_targets: "set[SelectionCriteria] | frozenset[SelectionCriteria] | None" = None,
+        current_group: RatingGroup | None = None,
+        force_cut_after: int | None = None,
+    ) -> AnytimeRecommendation:
+        """Cooperative-anytime Problem 2: best-so-far under a soft budget.
+
+        With a ``budget`` or ``force_cut_after`` the scan runs in blocks of
+        ``config.workers()`` candidates; between blocks the best-so-far
+        ranking is a well-defined snapshot.  When ``budget`` — a *soft*
+        limit, distinct from the ambient hard deadline — expires, the scan
+        cuts at the next boundary and returns a partial result with an
+        honest :class:`~repro.anytime.partial.Completeness` instead of
+        raising.  The ambient hard deadline still unwinds with
+        :class:`~repro.resilience.deadline.DeadlineExceeded` (a budget
+        larger than the remaining deadline can never be honoured — the
+        smaller limit always wins).
+
+        ``plan`` applies a quality-ladder rung: a candidate cap, a sample
+        stride and cheaper previews.  ``force_cut_after`` (from
+        :meth:`~repro.resilience.faults.FaultPlan.budget_cut`) forces the
+        cut after that many blocks, making partial-result paths testable
+        without timing races.  With no budget, no plan and no forced cut
+        the scan is :meth:`recommend`'s — one block — and so is the result.
+        """
+        o = self._config.o if o is None else o
+        started = time.perf_counter()
+        with obs_span(
+            "anytime.recommend",
+            rung=plan.label if plan is not None else QualityRung.FULL.label,
+            budget_ms=(
+                round(budget.budget_seconds * 1000.0) if budget is not None else None
+            ),
+        ) as sp:
+            scan = self._scan(
+                current,
+                seen,
+                o,
+                candidates,
+                exclude_targets,
+                current_group,
+                plan=plan,
+                budget=budget,
+                force_cut_after=force_cut_after,
+            )
+            preview = scan.preview.config
+            confidence = 1.0
+            if preview.pruning is not PruningStrategy.NONE:
+                confidence = 1.0 - preview.delta
+            completeness = Completeness(
+                rung=plan.rung if plan is not None else QualityRung.FULL,
+                candidates_total=scan.total,
+                candidates_scanned=scan.scanned,
+                candidates_scored=scan.scored,
+                complete=not scan.budget_cut and scan.scanned == scan.total,
+                pruning_confidence=confidence,
+                snapshots=scan.snapshots,
+                budget_cut=scan.budget_cut,
+            )
+            sp.set(
+                candidates=scan.total,
+                scanned=scan.scanned,
+                complete=completeness.complete,
+                batched=scan.batched,
+                snapshots=scan.snapshots,
+            )
+            return AnytimeRecommendation(
+                recommendations=tuple(scan.top),
+                completeness=completeness,
+                elapsed_seconds=time.perf_counter() - started,
+            )
+
     def _preview_for(self, plan: "RungPlan | None") -> RMSetGenerator:
         """The preview generator a ladder rung prescribes.
 
@@ -418,200 +399,143 @@ class RecommendationBuilder:
             return self._preview_generator
         return RMSetGenerator(replace(base, **changes))
 
-    def recommend_anytime(
+    def _scan(
         self,
         current: SelectionCriteria,
         seen: SeenMaps,
-        budget: "Deadline | None" = None,
-        o: int | None = None,
+        o: int,
+        candidates: "Sequence[Operation] | None",
+        exclude_targets: "set[SelectionCriteria] | frozenset[SelectionCriteria] | None",
+        current_group: "RatingGroup | None",
         plan: "RungPlan | None" = None,
-        candidates: Sequence[Operation] | None = None,
-        exclude_targets: "set[SelectionCriteria] | frozenset[SelectionCriteria] | None" = None,
-        current_group: RatingGroup | None = None,
+        budget: "Deadline | None" = None,
         force_cut_after: int | None = None,
-        on_snapshot: "Callable[[list[ScoredOperation]], None] | None" = None,
-    ) -> AnytimeRecommendation:
-        """Cooperative-anytime Problem 2: best-so-far under a soft budget.
+    ) -> "_Scan":
+        """The recommendation loop: enumerate, score in blocks, rank.
 
-        The candidate loop runs in phase-sized chunks; between chunks the
-        best-so-far ranking is a well-defined snapshot (``on_snapshot``
-        observes each one).  When ``budget`` — a *soft* limit, distinct
-        from the ambient hard deadline — expires, the loop cuts at the
-        next boundary and returns a partial result with an honest
-        :class:`~repro.anytime.partial.Completeness` instead of raising.
-        The ambient hard deadline still unwinds with
-        :class:`~repro.resilience.deadline.DeadlineExceeded` (a budget
-        larger than the remaining deadline can never be honoured — the
-        smaller limit always wins).
-
-        ``plan`` applies a quality-ladder rung: a candidate cap, a sample
-        stride and cheaper previews.  ``force_cut_after`` (from
-        :meth:`~repro.resilience.faults.FaultPlan.budget_cut`) forces the
-        cut after that many chunks, making partial-result paths testable
-        without timing races.  With no budget, no plan and no forced cut
-        the result is exactly :meth:`recommend`'s.
+        A block boundary exists only where something can act on it — a
+        soft ``budget`` or a forced cut.  Without either, the whole
+        neighbourhood is one block; otherwise a block is
+        ``config.workers()`` candidates in scan order.
         """
-        o = self._config.o if o is None else o
-        started = time.perf_counter()
+        operations = (
+            list(candidates)
+            if candidates is not None
+            else self.candidate_operations(current)
+        )
+        if exclude_targets:
+            filtered = [op for op in operations if op.target not in exclude_targets]
+            if filtered:
+                operations = filtered
+        # Ambient request context (deadline, load pressure, active trace)
+        # lives in contextvars, which pool threads do not inherit: capture
+        # it here and re-install it around every scoring call so candidate
+        # spans join this request's trace.  The *soft* limit governs
+        # scoring so a spent budget aborts the in-flight block quickly; the
+        # cut decision below distinguishes it from the hard deadline.
         hard = current_deadline()
-        soft = effective_deadline(hard, budget)
-        with obs_span(
-            "anytime.recommend",
-            rung=plan.label if plan is not None else QualityRung.FULL.label,
-            budget_ms=(
-                round(budget.budget_seconds * 1000.0) if budget is not None else None
-            ),
-        ) as sp:
-            operations = (
-                list(candidates)
-                if candidates is not None
-                else self.candidate_operations(current)
-            )
-            if exclude_targets:
-                filtered = [
-                    op for op in operations if op.target not in exclude_targets
-                ]
-                if filtered:
-                    operations = filtered
-            pressure = under_pressure()
-            trace_ctx = obs_current_context()
-            if pressure:
-                operations = operations[: self._config.pressure_candidate_cap]
-            total = len(operations)
-            if plan is not None:
-                if plan.candidate_cap is not None:
-                    operations = operations[: plan.candidate_cap]
-                if plan.sample_stride > 1:
-                    operations = operations[:: plan.sample_stride]
-            if current_group is None or current_group.criteria != current:
-                current_group = self._materialise(current)
-            current_rows = current_group.rows
-            preview = self._preview_for(plan)
-            ctx: "NeighborhoodContext | None" = None
-            if self._index is not None and not self._config.preview_uses_full_pipeline:
-                ctx = self._index.neighborhood(current_group)
+        limit = effective_deadline(hard, budget)
+        pressure = under_pressure()
+        trace_ctx = obs_current_context()
+        if pressure:
+            operations = operations[:PRESSURE_CANDIDATE_CAP]
+        total = len(operations)
+        if plan is not None:
+            if plan.candidate_cap is not None:
+                operations = operations[: plan.candidate_cap]
+            if plan.sample_stride > 1:
+                operations = operations[:: plan.sample_stride]
+        if current_group is None or current_group.criteria != current:
+            current_group = self._materialise(current)
+        current_rows = current_group.rows
+        preview = self._preview_for(plan)
+        # Sufficient-statistic fast path: candidates are scored from fused
+        # cube slices / delta-maintained histograms instead of per-candidate
+        # group scans.  The full-pipeline preview mode exercises the phased
+        # pruning machinery on purpose, so it keeps the group-based path.
+        ctx: "NeighborhoodContext | None" = None
+        if self._index is not None and not self._config.preview_uses_full_pipeline:
+            ctx = self._index.neighborhood(current_group)
 
-            def score(operation: Operation) -> "ScoredOperation | None":
-                # the *soft* limit governs scoring so a spent budget aborts
-                # the in-flight preview quickly; the cut decision below
-                # distinguishes it from the hard deadline
-                with deadline_scope(soft), pressure_scope(pressure), \
-                        obs_activate(trace_ctx):
-                    if soft is not None:
-                        soft.check()
-                    if ctx is not None:
-                        return self._score_one_indexed(
-                            ctx, operation, seen, preview
-                        )
-                    return self._score_one(
-                        operation, seen, current_rows, preview
-                    )
+        # family batching needs the index context and a kernel-covered config
+        batch: "FamilyBatchScorer | None" = None
+        if (
+            ctx is not None
+            and self._batch_scoring
+            and supports_batch(self._preview_generator.config)
+        ):
+            batch = FamilyBatchScorer(ctx, preview, seen, o, MIN_GROUP_SIZE)
+            lookup = plan_lookup(ctx, operations)
 
-            workers = self._config.workers()
-            chunk = max(1, workers)
-            use_batch = self._use_batch(ctx)
-            batch: "FamilyBatchScorer | None" = None
-            lookup: "dict[int, tuple[FamilyPlan, int] | None] | None" = None
-            if use_batch:
-                batch = FamilyBatchScorer(
-                    ctx, self._config, preview, seen, o
-                )
-                # candidates keep their scan order (so snapshot and
-                # budget-cut boundaries match the per-candidate path);
-                # the lookup batches the arithmetic by family lazily
-                lookup = plan_lookup(ctx, operations)
-            units = [
-                operations[offset : offset + chunk]
-                for offset in range(0, len(operations), chunk)
-            ]
-            scored: list[ScoredOperation | None] = []
-            scanned = 0
-            scored_count = 0
-            snapshots = 0
-            budget_cut = False
-            pool = (
-                self._shared_pool()
-                if workers > 1 and len(operations) > 1
-                else None
-            )
-            for unit in units:
-                if hard is not None:
-                    hard.check()
-                if force_cut_after is not None and snapshots >= force_cut_after:
-                    budget_cut = True
-                    break
-                if budget is not None and budget.expired:
-                    budget_cut = True
-                    break
-                try:
-                    if batch is not None:
-                        # the batch scorer checks the soft limit between
-                        # spec stacks and evaluations
-                        with deadline_scope(soft), pressure_scope(pressure), \
-                                obs_activate(trace_ctx):
-                            block_scored, block_count = (
-                                batch.score_scan_block(unit, lookup)
-                            )
-                    else:
-                        if pool is not None and len(unit) > 1:
-                            block_scored = list(pool.map(score, unit))
-                        else:
-                            block_scored = [score(op) for op in unit]
-                        block_count = sum(
-                            1 for result in block_scored if result is not None
-                        )
-                except DeadlineExceeded:
-                    if hard is not None and hard.expired:
-                        raise  # the hard deadline, not the budget
-                    budget_cut = True
-                    break
-                scored.extend(block_scored)
-                scanned += len(unit)
-                scored_count += block_count
-                snapshots += 1
-                if on_snapshot is not None:
-                    on_snapshot(
-                        self._materialize_top(self._rank(scored), o)
-                    )
-            ranked = self._rank(scored)
-            top = tuple(self._materialize_top(ranked, o))
+        def score(operation: Operation) -> "ScoredOperation | None":
+            with deadline_scope(limit), pressure_scope(pressure), \
+                    obs_activate(trace_ctx):
+                if limit is not None:
+                    limit.check()
+                if ctx is not None:
+                    return self._score_one_indexed(ctx, operation, seen, preview)
+                return self._score_one(operation, seen, current_rows, preview)
+
+        def score_block(
+            block: "list[Operation]",
+        ) -> "tuple[list[ScoredOperation | BatchScored | None], int]":
             if batch is not None:
-                self._merge_batch_stats(
-                    batch.stats,
-                    fallback=scanned - batch.stats["candidates"],
-                )
-            confidence = 1.0
-            if preview.config.pruning is not PruningStrategy.NONE:
-                confidence = 1.0 - preview.config.delta
-            completeness = Completeness(
-                rung=plan.rung if plan is not None else QualityRung.FULL,
-                candidates_total=total,
-                candidates_scanned=scanned,
-                candidates_scored=scored_count,
-                complete=not budget_cut and scanned == total,
-                pruning_confidence=confidence,
-                snapshots=snapshots,
-                budget_cut=budget_cut,
+                with deadline_scope(limit), pressure_scope(pressure), \
+                        obs_activate(trace_ctx):
+                    return batch.score_block(block, lookup)
+            pool = self._shared_pool() if len(block) > 1 else None
+            if pool is not None:
+                results = list(pool.map(score, block))
+            else:
+                results = [score(op) for op in block]
+            return results, sum(1 for result in results if result is not None)
+
+        cuttable = budget is not None or force_cut_after is not None
+        size = self._config.workers() if cuttable else max(1, len(operations))
+        scored: "list[ScoredOperation | BatchScored | None]" = []
+        scanned = scored_count = snapshots = 0
+        budget_cut = False
+        for offset in range(0, len(operations), size):
+            if hard is not None:
+                hard.check()
+            if (force_cut_after is not None and snapshots >= force_cut_after) or (
+                budget is not None and budget.expired
+            ):
+                budget_cut = True
+                break
+            block = operations[offset : offset + size]
+            try:
+                block_scored, block_count = score_block(block)
+            except DeadlineExceeded:
+                if hard is not None and hard.expired:
+                    raise  # the hard deadline, not the budget
+                budget_cut = True
+                break
+            scored.extend(block_scored)
+            scanned += len(block)
+            scored_count += block_count
+            snapshots += 1
+        top = self._materialize_top(self._rank(scored), o)
+        if batch is not None:
+            self._merge_batch_stats(
+                batch.stats, fallback=scanned - batch.stats["candidates"]
             )
-            sp.set(
-                candidates=total,
-                scanned=scanned,
-                complete=completeness.complete,
-                batched=use_batch,
-                snapshots=snapshots,
-            )
-            return AnytimeRecommendation(
-                recommendations=top,
-                completeness=completeness,
-                elapsed_seconds=time.perf_counter() - started,
-            )
+        return _Scan(
+            top=top,
+            total=total,
+            scanned=scanned,
+            scored=scored_count,
+            snapshots=snapshots,
+            budget_cut=budget_cut,
+            indexed=ctx is not None,
+            batched=batch is not None,
+            preview=preview,
+        )
 
     @staticmethod
     def _rank(
         scored: "Sequence[ScoredOperation | BatchScored | None]",
     ) -> "list[ScoredOperation | BatchScored]":
-        # describe_key memoises target.describe(): anytime re-ranks after
-        # every chunk, so the tie-break string is built once per operation
         return sorted(
             (s for s in scored if s is not None),
             key=lambda s: (-s.utility, s.operation.describe_key),
@@ -624,9 +548,8 @@ class RecommendationBuilder:
         """The top-o with previews built — batch entries materialise here.
 
         Batch-scored candidates carry an exact utility but a lazy preview;
-        only entries that actually make a returned top-o (or an anytime
-        snapshot) pay for ``generate_from_counts``.  Materialisation is
-        cached on the entry, so repeated snapshots re-use it.
+        only entries that actually make the returned top-o pay for
+        ``generate_from_counts``.
         """
         top: "list[ScoredOperation]" = []
         for entry in ranked:
@@ -640,3 +563,23 @@ class RecommendationBuilder:
             else:
                 top.append(entry)
         return top
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """What one :meth:`RecommendationBuilder._scan` found.
+
+    ``total`` counts candidates after exclusions and the pressure cap but
+    before a ladder rung's cap and stride; ``snapshots`` counts the blocks
+    scanned.
+    """
+
+    top: list[ScoredOperation]
+    total: int
+    scanned: int
+    scored: int
+    snapshots: int
+    budget_cut: bool
+    indexed: bool
+    batched: bool
+    preview: RMSetGenerator

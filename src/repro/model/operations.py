@@ -55,9 +55,8 @@ class Operation:
     def describe_key(self) -> str:
         """The target's description, memoised for ranking tie-breaks.
 
-        Recommendation ranking sorts by ``(-utility, target.describe())``;
-        anytime snapshots re-rank after every chunk, so rebuilding the
-        description string per sort adds up.  ``cached_property`` stores
+        Recommendation ranking sorts by ``(-utility, target.describe())``.
+        ``cached_property`` stores
         the string in the instance ``__dict__`` directly, which works on a
         frozen dataclass (no ``__setattr__`` involved) and stays out of
         field-based equality/hashing.

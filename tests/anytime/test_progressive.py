@@ -56,6 +56,8 @@ def test_unbudgeted_run_matches_plain_recommendations(tiny_engine):
     assert result.completeness.rung is QualityRung.FULL
     assert result.completeness.complete
     assert not result.completeness.budget_cut
+    # no budget and no forced cut: the whole neighbourhood is one block
+    assert result.completeness.snapshots == 1
     assert _keys(result.recommendations) == _keys(plain)
     _check_invariants(result.completeness)
 
@@ -102,6 +104,10 @@ def test_forced_cut_yields_honest_partial(tiny_engine):
     assert cut.is_partial
     assert cut.completeness.budget_cut
     assert cut.completeness.snapshots == 1
+    # a forced cut scans in blocks of config.workers() candidates
+    assert cut.completeness.candidates_scanned == (
+        tiny_engine.recommender.config.workers()
+    )
     assert 0 < cut.completeness.candidates_scanned
     assert cut.completeness.candidates_scanned < cut.completeness.candidates_total
     assert cut.completeness.candidates_total == full.completeness.candidates_total
@@ -134,23 +140,6 @@ def test_expired_budget_cuts_at_first_boundary(tiny_engine):
     assert result.is_partial
     assert result.completeness.budget_cut
     assert result.completeness.candidates_scanned == 0
-
-
-def test_snapshots_stream_best_so_far(tiny_engine):
-    session = tiny_engine.session()
-    session.step()
-    seen: list[list] = []
-    result = session.recommender.recommend_anytime(
-        session.criteria,
-        session.seen,
-        current_group=session.group,
-        on_snapshot=lambda ranked: seen.append(list(ranked)),
-    )
-    assert len(seen) == result.completeness.snapshots >= 1
-    # snapshot sizes only ever grow, and the last one is the final answer
-    sizes = [len(snapshot) for snapshot in seen]
-    assert sizes == sorted(sizes)
-    assert _keys(seen[-1]) == _keys(result.recommendations)
 
 
 # -- every rung stays inside the full-run oracle ------------------------------

@@ -163,14 +163,23 @@ def test_uncovered_utility_config_falls_back(batch_db_factory):
 def test_anytime_unbudgeted_equals_one_shot(
     batch_db_factory, batch_engine_factory
 ):
-    """The scan-ordered lazy-family path converges to the one-shot
-    global-queue path: same exact utilities, same top-o, bit for bit."""
+    """Unbudgeted anytime runs the one-shot scan: same exact utilities,
+    same top-o, bit for bit — and the same batching work."""
     engine = batch_engine_factory(
         batch_db_factory(seed=8, missing=0.15, name="anytimedb")
     )
+    work = ("families", "candidates", "scored", "evaluated", "pruned",
+            "materialized")
+    stats = engine.recommender.batch_stats
+    before = stats()
     plain = engine.recommend(o=6)
+    middle = stats()
     result = engine.recommender.recommend_anytime(
         SelectionCriteria.root(), _seen(engine), o=6
     )
+    after = stats()
     assert result.completeness.complete
     assert not diff_recommendations(plain, list(result.recommendations))
+    assert {key: middle[key] - before[key] for key in work} == {
+        key: after[key] - middle[key] for key in work
+    }

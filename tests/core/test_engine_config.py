@@ -48,9 +48,6 @@ class TestRecommenderConfig:
     def test_workers_sequential(self):
         assert RecommenderConfig(parallel=False).workers() == 1
 
-    def test_workers_bounded(self):
-        assert RecommenderConfig(max_workers=2).workers() == 2
-
     def test_workers_defaults_to_cpu(self):
         assert RecommenderConfig().workers() >= 1
 

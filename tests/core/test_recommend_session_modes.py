@@ -34,21 +34,25 @@ class TestRecommendationBuilder:
             assert reco.preview.selected
 
     def test_sequential_equals_parallel(self, tiny_db):
+        # parallel only changes the per-candidate path; the batched
+        # kernel always runs on the request's thread
         criteria = SelectionCriteria.of(reviewer={"gender": "F"})
         parallel = SubDEx(
             tiny_db,
             SubDExConfig(
+                batch_scoring=False,
                 recommender=RecommenderConfig(
                     max_values_per_attribute=3, parallel=True
-                )
+                ),
             ),
         ).recommend(criteria)
         sequential = SubDEx(
             tiny_db,
             SubDExConfig(
+                batch_scoring=False,
                 recommender=RecommenderConfig(
                     max_values_per_attribute=3, parallel=False
-                )
+                ),
             ),
         ).recommend(criteria)
         assert [r.target for r in parallel] == [r.target for r in sequential]
