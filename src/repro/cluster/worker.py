@@ -6,21 +6,21 @@ manifests as zero-copy views, and serves pickled request/response
 messages over its ``AF_UNIX`` socket:
 
 * **session ops** — the worker owns every session the consistent-hash
-  ring routes to its slot, running the unmodified engine
-  (:class:`~repro.core.caching.CachingEngine` over
-  :class:`~repro.core.engine.SubDEx`), so per-session responses are
-  byte-identical to the single-process server's;
+  ring routes to its slot and runs them on its own
+  :class:`~repro.server.app.SessionService` — the class the
+  single-process server runs — over its shm-attached engines, so
+  per-session responses are byte-identical because the same code runs;
 * **scan** — the scatter half of a phase scan: count matrices for the
   requested shards only (:func:`~repro.cluster.merge.partial_scan`);
 * **ping / stats / shutdown** — supervision, observability scrape, and
   graceful drain.
 
-Resilience mirrors the front: each worker keeps its own checkpoint
-store (``<checkpoint_dir>/worker-<i>``), restores from it on (re)start,
-checkpoints on every mutation, and flushes on SIGTERM before exiting 0.
-Observability crosses the boundary: requests carry the front's trace id
-into a per-worker tracer + span-stats sink whose summary the front
-exposes under ``/debug/spans/summary``.
+Resilience mirrors the front: each worker's service keeps its own
+checkpoint store (``<checkpoint_dir>/worker-<i>``), restores from it on
+(re)start, checkpoints on every mutation, and flushes on SIGTERM before
+exiting 0.  Observability crosses the boundary: requests carry the
+front's trace id into a per-worker tracer + span-stats sink whose
+summary the front exposes under ``/debug/spans/summary``.
 """
 
 from __future__ import annotations
@@ -31,50 +31,28 @@ import signal
 import socket
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
-from ..anytime import (
-    QualityLadder,
-    QualityRung,
-    RefinementLostError,
-    RefinementStore,
-    budget_deadline,
-)
 from ..core.caching import CachingEngine
 from ..core.engine import SubDEx, SubDExConfig
-from ..core.history import ExplorationLog
-from ..core.modes import ExplorationMode, ExplorationPath
-from ..exceptions import EmptyGroupError, OperationError, ReproError
 from ..obs.collect import ThreadLocalTraceCapture, fragment_from_trace
 from ..obs.tracing import Tracer
 from ..perf.spanstats import SpanStatsSink
-from ..resilience.checkpoint import (
-    CheckpointStore,
-    SessionCheckpoint,
-    SessionCheckpointer,
-    restore_session,
-)
-from ..resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
-from ..server.protocol import (
+from ..resilience.checkpoint import CheckpointStore
+from ..resilience.deadline import Deadline, deadline_scope
+# the module, not its names: the server package imports this module while
+# repro.server.app is still initialising, so names resolve at call time
+from ..server import app as server_app
+# the serialisers are unused here but stay module attributes: the
+# stepbench traced pass wraps repro.cluster.worker.step_to_json and
+# rating_map_to_json
+from ..server.protocol import (  # noqa: F401
     ProtocolError,
-    apply_edit,
-    criteria_from_json,
-    criteria_to_json,
-    error_payload,
     rating_map_to_json,
-    recommendation_to_json,
     step_to_json,
 )
-from ..server.registry import (
-    SessionGoneError,
-    SessionLimitError,
-    SessionRegistry,
-    UnknownSessionError,
-)
+from ..server.registry import SessionRegistry
 from ..slo import SLOConfig, SLOTracker
 from . import ipc
 from .merge import partial_scan
@@ -133,10 +111,6 @@ class WorkerApp:
         }
         self._engines: dict[str, CachingEngine] = {}
         self._engines_lock = threading.Lock()
-        self.registry = SessionRegistry(
-            max_sessions=spec.max_sessions,
-            ttl_seconds=spec.session_ttl_seconds,
-        )
         self.tracer = Tracer(enabled=spec.tracing_enabled)
         self.span_stats = SpanStatsSink()
         self.tracer.add_sink(self.span_stats)
@@ -145,24 +119,28 @@ class WorkerApp:
         # finished trace up and ship it back on the IPC reply
         self.trace_capture = ThreadLocalTraceCapture()
         self.tracer.add_sink(self.trace_capture)
-        self.checkpointer: SessionCheckpointer | None = None
-        if spec.checkpoint_dir is not None:
-            store = CheckpointStore(
-                os.path.join(spec.checkpoint_dir, f"worker-{spec.index}")
-            )
-            self.checkpointer = SessionCheckpointer(
-                store,
-                source=self._checkpoint_source,
-                interval_seconds=spec.checkpoint_interval_seconds,
-            )
+        #: the sessions the ring routes here.  Refinement tokens live in
+        #: this process on purpose — a worker that dies takes its tokens
+        #: with it, and polls after the restart answer ``refinement_lost``.
+        self.sessions = server_app.SessionService(
+            self.engine,
+            spec.default_dataset,
+            SessionRegistry(
+                max_sessions=spec.max_sessions,
+                ttl_seconds=spec.session_ttl_seconds,
+            ),
+            checkpoint_store=(
+                CheckpointStore(
+                    os.path.join(spec.checkpoint_dir, f"worker-{spec.index}")
+                )
+                if spec.checkpoint_dir is not None
+                else None
+            ),
+            checkpoint_interval_seconds=spec.checkpoint_interval_seconds,
+            worker=spec.index,
+        )
         self.stop = threading.Event()
         self.requests_handled = 0
-        #: anytime: the rung plans this worker executes and the
-        #: refinement jobs it owns.  The store is process-local on
-        #: purpose — a worker that dies takes its tokens with it, and
-        #: polls after the restart answer a typed ``refinement_lost``.
-        self.ladder = QualityLadder()
-        self.refinements = RefinementStore()
         #: per-worker SLO windows over op traffic, scraped by the front's
         #: GET /slo and merged by addition into the fleet scorecard
         self.slo: SLOTracker | None = None
@@ -189,61 +167,6 @@ class WorkerApp:
                 self._engines[dataset] = engine
             return engine
 
-    # -- checkpointing -------------------------------------------------------
-    def _checkpoint_source(self):
-        for managed in self.registry.live_sessions():
-            if managed.session is None:
-                continue
-            if not managed.lock.acquire(blocking=False):
-                continue
-            try:
-                yield SessionCheckpoint.capture(
-                    managed.session_id,
-                    managed.dataset,
-                    managed.created_wall,
-                    managed.session,
-                )
-            finally:
-                managed.lock.release()
-
-    def save_checkpoint(self, managed) -> None:
-        if self.checkpointer is None or managed.session is None:
-            return
-        self.checkpointer.save(
-            SessionCheckpoint.capture(
-                managed.session_id,
-                managed.dataset,
-                managed.created_wall,
-                managed.session,
-            )
-        )
-
-    def restore_sessions(self) -> int:
-        """Replay this worker's checkpoints — the restart-recovery path."""
-        if self.checkpointer is None:
-            return 0
-        restored = 0
-        for checkpoint in self.checkpointer.store.load_all():
-            try:
-                engine = self.engine(checkpoint.dataset)
-                session = restore_session(engine, checkpoint)
-                managed = self.registry.adopt(
-                    checkpoint.session_id,
-                    checkpoint.dataset,
-                    session,
-                    created_wall=checkpoint.created_wall,
-                )
-                managed.latest = session.steps[-1] if session.steps else None
-                restored += 1
-            except Exception:  # noqa: BLE001 - skip the unrestorable
-                _log.warning(
-                    "worker %d: failed to restore session %s; skipping",
-                    self.spec.index,
-                    checkpoint.session_id,
-                    exc_info=True,
-                )
-        return restored
-
     # -- dispatch ------------------------------------------------------------
     def handle(self, message: Mapping[str, Any]) -> dict[str, Any]:
         op = message.get("op", "<missing>")
@@ -260,28 +183,22 @@ class WorkerApp:
         ) as root:
             try:
                 with deadline_scope(deadline):
-                    handler = getattr(self, "op_" + op.replace(".", "_"), None)
-                    if handler is None:
-                        raise ProtocolError(
-                            f"unknown worker op {op!r}", "unknown_op"
-                        )
-                    status, reply = handler(payload)
+                    handler = getattr(self, "op_" + op, None)
+                    if handler is not None:
+                        status, reply = handler(payload)
+                    else:
+                        status, reply = self.sessions.run(op, payload)
             except Exception as error:  # noqa: BLE001 - mapped to envelopes
-                status, reply = self._error_envelope(error)
+                status, reply = server_app.error_envelope(error)
             root.set(status=status)
         elapsed = time.perf_counter() - started
         # supervision chatter (heartbeats, scrapes) would drown the ops
         # class; only real work feeds the worker's SLO windows
         if self.slo is not None and op not in ("ping", "stats", "slo"):
-            degraded = False
-            rung = None
-            if isinstance(reply, dict):
-                degraded = bool(reply.get("degraded"))
-                quality = reply.get("quality")
-                if isinstance(quality, dict):
-                    rung = quality.get("rung")
+            shed, degraded, rung = server_app._classify_payload(status, reply)
             self.slo.ingest(
-                op, status, elapsed, degraded=degraded, rung=rung, op=True
+                op, status, elapsed, shed=shed, degraded=degraded, rung=rung,
+                op=True,
             )
         envelope = {
             "status": status,
@@ -307,39 +224,12 @@ class WorkerApp:
             )
         return envelope
 
-    @staticmethod
-    def _error_envelope(error: Exception) -> tuple[int, dict[str, Any]]:
-        """The front's ``_run`` status map, reproduced for IPC replies."""
-        if isinstance(error, DeadlineExceeded):
-            return 504, error_payload(
-                "deadline_exceeded", str(error), retryable=True
-            )
-        if isinstance(error, ProtocolError):
-            return 400, error_payload(error.code, str(error))
-        if isinstance(error, UnknownSessionError):
-            return 404, error_payload("unknown_session", str(error))
-        if isinstance(error, SessionGoneError):
-            return 410, error_payload("session_gone", str(error))
-        if isinstance(error, RefinementLostError):
-            return 410, error_payload("refinement_lost", str(error))
-        if isinstance(error, SessionLimitError):
-            return 429, error_payload(
-                "too_many_sessions", str(error), retryable=True, retry_after=1
-            )
-        if isinstance(error, (EmptyGroupError, OperationError)):
-            return 400, error_payload("empty_group", str(error))
-        if isinstance(error, ReproError):
-            return 400, error_payload("bad_request", str(error))
-        return 500, error_payload(
-            "internal_error", f"{type(error).__name__}: {error}"
-        )
-
     # -- supervision ops -----------------------------------------------------
     def op_ping(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
         return 200, {
             "worker": self.spec.index,
             "pid": os.getpid(),
-            "sessions": self.registry.live_count,
+            "sessions": self.sessions.registry.live_count,
             "uptime_seconds": time.monotonic() - self.started,
         }
 
@@ -350,12 +240,12 @@ class WorkerApp:
             "pid": os.getpid(),
             "uptime_seconds": time.monotonic() - self.started,
             "requests_handled": self.requests_handled,
-            "sessions": self.registry.counters(),
+            "sessions": self.sessions.registry.counters(),
             "spans": self.span_stats.summary(limit=limit),
-            "refinements": self.refinements.counters(),
+            "refinements": self.sessions.refinements.counters(),
         }
-        if self.checkpointer is not None:
-            stats["checkpoints"] = self.checkpointer.counters()
+        if self.sessions.checkpointer is not None:
+            stats["checkpoints"] = self.sessions.checkpointer.counters()
         return 200, stats
 
     def op_slo(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
@@ -400,242 +290,6 @@ class WorkerApp:
             "counts": partial.counts,
         }
 
-    # -- session ops (mirror the HTTP handlers one-to-one) --------------------
-    def op_session_create(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        sid = payload["sid"]
-        body = payload.get("body") or {}
-        dataset = body.get("dataset") or self.spec.default_dataset
-        if not isinstance(dataset, str):
-            raise ProtocolError("'dataset' must be a string", "invalid_request")
-        engine = self.engine(dataset)
-        start = (
-            criteria_from_json(body["criteria"])
-            if body.get("criteria") is not None
-            else None
-        )
-        self.registry.evict_idle()
-        session = engine.session(start)
-        managed = self.registry.adopt(sid, dataset, session)
-        with managed.lock:
-            record = session.step(with_recommendations=True)
-            managed.latest = record
-            self.save_checkpoint(managed)
-            return 201, {
-                "session_id": sid,
-                "dataset": dataset,
-                "degraded": record.degraded,
-                "step": step_to_json(record),
-            }
-
-    def op_sessions_list(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        return 200, {"sessions": self.registry.summaries()}
-
-    def op_session_summary(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        with self.registry.acquire(payload["sid"]) as managed:
-            summary = managed.summary(now=time.monotonic())
-            summary["criteria"] = (
-                criteria_to_json(managed.session.criteria)
-                if managed.session is not None
-                else None
-            )
-            summary["worker"] = self.spec.index
-            return 200, summary
-
-    def op_session_close(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        sid = payload["sid"]
-        managed = self.registry.close(sid)
-        if self.checkpointer is not None:
-            self.checkpointer.forget(sid)
-        return 200, {
-            "session_id": sid,
-            "closed": True,
-            "n_steps": managed.session.n_steps if managed.session else 0,
-        }
-
-    def op_session_maps(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        sid = payload["sid"]
-        with self.registry.acquire(sid) as managed:
-            record = managed.latest
-            return 200, {
-                "session_id": sid,
-                "step_index": record.index if record else 0,
-                "degraded": record.degraded if record else False,
-                "criteria": criteria_to_json(record.criteria)
-                if record
-                else None,
-                "maps": [
-                    rating_map_to_json(rm, record.result.dw_utility(rm))
-                    for rm in record.result.selected
-                ]
-                if record
-                else [],
-            }
-
-    def op_session_recommendations(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        sid = payload["sid"]
-        limit = payload.get("o")
-        budget_ms = payload.get("budget_ms")
-        rung_label = payload.get("rung")
-        if budget_ms is None and rung_label is None:
-            # pre-anytime shape: serve the stored step recommendations
-            with self.registry.acquire(sid) as managed:
-                scored = managed.latest.recommendations if managed.latest else ()
-                if limit is not None:
-                    scored = scored[:limit]
-                return 200, {
-                    "session_id": sid,
-                    "recommendations": [
-                        recommendation_to_json(i, s)
-                        for i, s in enumerate(scored, 1)
-                    ],
-                }
-        # anytime: the front picked the rung from its load signals; this
-        # worker executes the plan under the soft budget (the envelope's
-        # deadline_s stays the hard limit and still 504s on overrun)
-        rung = (
-            QualityRung.from_label(rung_label)
-            if rung_label is not None
-            else QualityRung.FULL
-        )
-        plan = self.ladder.plan(rung)
-        with self.registry.acquire(sid) as managed:
-            if plan.use_cached:
-                scored = managed.latest.recommendations if managed.latest else ()
-                if limit is not None:
-                    scored = scored[:limit]
-                quality: dict[str, Any] = {
-                    "rung": rung.label,
-                    "complete": False,
-                    "stale": True,
-                }
-                partial = True
-                recommendations = [
-                    recommendation_to_json(i, s)
-                    for i, s in enumerate(scored, 1)
-                ]
-            else:
-                result = managed.session.recommendations_anytime(
-                    budget=budget_deadline(budget_ms),
-                    o=limit,
-                    plan=plan,
-                )
-                quality = result.completeness.to_json()
-                partial = result.is_partial
-                recommendations = [
-                    recommendation_to_json(i, s)
-                    for i, s in enumerate(result, 1)
-                ]
-        refinement: dict[str, Any] | None = None
-        if partial:
-            token = uuid.uuid4().hex
-            self.refinements.submit(token, lambda: self._refine_job(sid))
-            refinement = {
-                "token": token,
-                "href": f"/sessions/{sid}/recommendations/refine/{token}",
-            }
-        if budget_ms is not None:
-            quality["budget_ms"] = budget_ms
-        return 200, {
-            "session_id": sid,
-            "degraded": partial or rung is not QualityRung.FULL,
-            "quality": quality,
-            "refinement": refinement,
-            "recommendations": recommendations,
-        }
-
-    def _refine_job(self, sid: str) -> dict[str, Any]:
-        """Full-quality recompute backing one refinement token."""
-        with self.registry.acquire(sid) as managed:
-            result = managed.session.recommendations_anytime()
-            return {
-                "quality": result.completeness.to_json(),
-                "recommendations": [
-                    recommendation_to_json(i, s)
-                    for i, s in enumerate(result, 1)
-                ],
-            }
-
-    def op_session_refine(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        return 200, {
-            "session_id": payload["sid"],
-            **self.refinements.poll(payload["token"]),
-        }
-
-    def op_session_apply(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        sid = payload["sid"]
-        body = payload.get("body") or {}
-        directives = [
-            k
-            for k in ("recommendation", "add", "drop", "sql", "criteria")
-            if k in body
-        ]
-        if len(directives) > 1:
-            raise ProtocolError(
-                "apply body must contain exactly one of 'recommendation', "
-                f"'add', 'drop', 'sql' or 'criteria', got {directives}",
-                "invalid_edit",
-            )
-        with self.registry.acquire(sid) as managed:
-            if "recommendation" in body:
-                number = body["recommendation"]
-                scored = managed.latest.recommendations if managed.latest else ()
-                if (
-                    not isinstance(number, int)
-                    or isinstance(number, bool)
-                    or not 1 <= number <= len(scored)
-                ):
-                    raise ProtocolError(
-                        f"invalid recommendation number {number!r} "
-                        f"(the current step offers 1..{len(scored)})",
-                        "invalid_recommendation",
-                    )
-                record = managed.session.step(
-                    scored[number - 1].operation, with_recommendations=True
-                )
-            else:
-                criteria = apply_edit(managed.session.criteria, body)
-                record = managed.session.apply_criteria(
-                    criteria, with_recommendations=True
-                )
-            managed.latest = record
-            self.save_checkpoint(managed)
-            return 200, {
-                "session_id": sid,
-                "degraded": record.degraded,
-                "step": step_to_json(record),
-            }
-
-    def op_session_history(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        sid = payload["sid"]
-        with self.registry.acquire(sid) as managed:
-            path = ExplorationPath(
-                ExplorationMode.USER_DRIVEN, managed.session.steps
-            )
-            log = ExplorationLog.from_path(
-                path,
-                dataset=managed.dataset,
-                metadata={"session_id": sid},
-            )
-            return 200, log.to_dict()
-
 
 def _serve_connection(app: WorkerApp, conn: socket.socket) -> None:
     try:
@@ -661,11 +315,12 @@ def worker_main(spec: WorkerSpec) -> int:
     signal.signal(signal.SIGTERM, _request_stop)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # front handles Ctrl-C
 
-    restored = app.restore_sessions()
+    restored, _ = app.sessions.restore()
     if restored:
         _log.info("worker %d: restored %d session(s)", spec.index, restored)
-    if app.checkpointer is not None:
-        app.checkpointer.start()
+    checkpointer = app.sessions.checkpointer
+    if checkpointer is not None:
+        checkpointer.start()
 
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
@@ -694,8 +349,8 @@ def worker_main(spec: WorkerSpec) -> int:
         except OSError:
             pass
         # drain: one final checkpoint per live session, then detach
-        if app.checkpointer is not None:
-            app.checkpointer.stop()
-            app.checkpointer.flush()
+        if checkpointer is not None:
+            checkpointer.stop()
+            checkpointer.flush()
         app.segments.close_attached()
     return 0

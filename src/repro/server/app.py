@@ -8,8 +8,13 @@ Architecture (one process, many threads):
   dataset amortises group materialisation and RM-Set generation; each
   dataset sits behind a :class:`~repro.resilience.breaker.CircuitBreaker`
   so a failing load answers fast 503s instead of retrying on every request;
-* one :class:`~repro.server.registry.SessionRegistry` — per-session locks,
-  TTL idle eviction, a bounded live-session cap;
+* one :class:`SessionService` — every session op (create, maps,
+  recommend, refine, apply, history, close) implemented once over a
+  :class:`~repro.server.registry.SessionRegistry` (per-session locks, TTL
+  idle eviction, a bounded live-session cap).  With ``--workers N`` the
+  handlers send the same op and payload to the owning worker, which runs
+  its own :class:`SessionService`, so both deployments answer the same
+  bytes; failed ops map through the one shared :func:`error_envelope`;
 * one :class:`~repro.resilience.gate.AdmissionGate` — the worker budget:
   past the soft limit heavy requests degrade (stale RM-Sets, no GMM pass,
   ``degraded: true`` in the response), past the hard limit they are shed
@@ -17,8 +22,9 @@ Architecture (one process, many threads):
 * per request, a :class:`~repro.resilience.deadline.Deadline` — from the
   ``X-Deadline-Ms`` header (or the server default), propagated down into
   the phased GroupBy scans; overruns answer a structured 504;
-* optionally one :class:`~repro.resilience.checkpoint.SessionCheckpointer`
-  — crash-safe session persistence: on-mutation + periodic checkpoints,
+* optionally the service's
+  :class:`~repro.resilience.checkpoint.SessionCheckpointer` — crash-safe
+  session persistence: on-mutation + periodic checkpoints,
   restore-on-startup, and a final flush during graceful shutdown.
 
 Endpoints (all JSON; see ``docs/API.md`` for the full reference)::
@@ -51,7 +57,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from ..cluster.merge import (
@@ -89,6 +95,7 @@ from ..resilience.checkpoint import (
 )
 from ..anytime import (
     AnytimeController,
+    QualityLadder,
     QualityRung,
     RefinementLostError,
     RefinementStore,
@@ -362,6 +369,390 @@ class EnginePool:
             name: slot.breaker.snapshot()
             for name, slot in self._slots.items()
         }
+
+
+def error_envelope(error: Exception) -> tuple[int, dict[str, Any]]:
+    """The (status, payload) a failed session op answers with.
+
+    Shared by the HTTP front and the cluster worker, so an error reads
+    the same whichever process raised it; the front maps only its own
+    failures (oversized bodies, dataset breakers, injected faults, dead
+    workers) before falling through to this.
+    """
+    if isinstance(error, DeadlineExceeded):
+        return 504, error_payload(
+            "deadline_exceeded", str(error), retryable=True
+        )
+    if isinstance(error, ProtocolError):
+        return 400, error_payload(error.code, str(error))
+    if isinstance(error, UnknownSessionError):
+        return 404, error_payload("unknown_session", str(error))
+    if isinstance(error, SessionGoneError):
+        return 410, error_payload("session_gone", str(error))
+    if isinstance(error, RefinementLostError):
+        return 410, error_payload("refinement_lost", str(error))
+    if isinstance(error, SessionLimitError):
+        return 429, error_payload(
+            "too_many_sessions", str(error), retryable=True, retry_after=1
+        )
+    if isinstance(error, (EmptyGroupError, OperationError)):
+        return 400, error_payload("empty_group", str(error))
+    if isinstance(error, ReproError):
+        return 400, error_payload("bad_request", str(error))
+    return 500, error_payload(
+        "internal_error", f"{type(error).__name__}: {error}"
+    )
+
+
+class SessionService:
+    """The session ops (create, maps, recommend, apply, log, ...), once.
+
+    Both deployments run this class: the single-process front calls it
+    directly, and in cluster mode each worker runs its own instance for
+    the sessions the hash ring routes to it.  Ops are keyed by the IPC op
+    names in :attr:`OPS` and take the same payload dicts either way, so a
+    session answers the same bytes whichever process owns it.
+
+    ``engine`` maps a dataset name to its shared caching engine (the
+    front's :meth:`EnginePool.get`, a worker's shm-attached engines).
+    ``worker`` is stamped into ``session.summary`` replies so clients can
+    tell which worker owns a session; ``None`` leaves it out.
+    """
+
+    #: IPC op name → method name
+    OPS = {
+        "session.create": "create",
+        "sessions.list": "list_sessions",
+        "session.summary": "summary",
+        "session.close": "close",
+        "session.maps": "maps",
+        "session.recommendations": "recommendations",
+        "session.refine": "refine",
+        "session.apply": "apply",
+        "session.history": "history",
+    }
+
+    def __init__(
+        self,
+        engine: Callable[[str], CachingEngine],
+        default_dataset: str,
+        registry: SessionRegistry,
+        checkpoint_store: CheckpointStore | None = None,
+        checkpoint_interval_seconds: float = 30.0,
+        refinements: RefinementStore | None = None,
+        worker: int | None = None,
+    ) -> None:
+        self.engine = engine
+        self.default_dataset = default_dataset
+        self.registry = registry
+        self.refinements = refinements or RefinementStore()
+        self.ladder = QualityLadder()
+        self.worker = worker
+        self.checkpointer: SessionCheckpointer | None = None
+        if checkpoint_store is not None:
+            self.checkpointer = SessionCheckpointer(
+                checkpoint_store,
+                source=self._checkpoint_source,
+                interval_seconds=checkpoint_interval_seconds,
+            )
+
+    def run(
+        self, op: str, payload: Mapping[str, Any]
+    ) -> tuple[int, dict[str, Any]]:
+        """Run one session op; failures raise (see :func:`error_envelope`)."""
+        method = self.OPS.get(op)
+        if method is None:
+            raise ProtocolError(f"unknown session op {op!r}", "unknown_op")
+        return getattr(self, method)(payload)
+
+    # -- checkpointing --------------------------------------------------------
+    def _checkpoint_source(self) -> Iterator[SessionCheckpoint]:
+        """Periodic-flush source: every live session whose lock is free.
+
+        A busy session is mid-mutation and will checkpoint itself when the
+        op finishes; skipping it avoids stalling the flush thread on a
+        long-running step.
+        """
+        for managed in self.registry.live_sessions():
+            if managed.session is None:
+                continue
+            if not managed.lock.acquire(blocking=False):
+                continue
+            try:
+                yield self._capture(managed)
+            finally:
+                managed.lock.release()
+
+    @staticmethod
+    def _capture(managed: ManagedSession) -> SessionCheckpoint:
+        return SessionCheckpoint.capture(
+            managed.session_id,
+            managed.dataset,
+            managed.created_wall,
+            managed.session,
+        )
+
+    def _save_checkpoint(self, managed: ManagedSession) -> None:
+        """On-mutation checkpoint (caller holds the session lock)."""
+        if self.checkpointer is not None and managed.session is not None:
+            self.checkpointer.save(self._capture(managed))
+
+    def restore(self) -> tuple[int, int]:
+        """Replay every checkpoint into a live session: (restored, failed).
+
+        Called once before serving.  A checkpoint that cannot be restored
+        (unknown dataset, failing engine, replay error) is skipped and
+        counted — a corrupt session must not block the healthy ones.
+        """
+        if self.checkpointer is None:
+            return 0, 0
+        restored = failed = 0
+        for checkpoint in self.checkpointer.store.load_all():
+            try:
+                engine = self.engine(checkpoint.dataset)
+                session = restore_session(engine, checkpoint)
+                managed = self.registry.adopt(
+                    checkpoint.session_id,
+                    checkpoint.dataset,
+                    session,
+                    created_wall=checkpoint.created_wall,
+                )
+                managed.latest = session.steps[-1] if session.steps else None
+                restored += 1
+            except Exception:  # noqa: BLE001 - skip the unrestorable
+                failed += 1
+                _log.warning(
+                    "failed to restore session %s (dataset %r); skipping it",
+                    checkpoint.session_id,
+                    checkpoint.dataset,
+                    exc_info=True,
+                )
+        return restored, failed
+
+    # -- lifecycle ------------------------------------------------------------
+    def create(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
+        body = payload.get("body") or {}
+        dataset = body.get("dataset") or self.default_dataset
+        if not isinstance(dataset, str):
+            raise ProtocolError("'dataset' must be a string", "invalid_request")
+        annotate(dataset=dataset)
+        engine = self.engine(dataset)
+        start = (
+            criteria_from_json(body["criteria"])
+            if body.get("criteria") is not None
+            else None
+        )
+        managed = self.registry.create(
+            dataset, lambda: engine.session(start), session_id=payload.get("sid")
+        )
+        with self.registry.acquire(managed.session_id) as live:
+            record = live.session.step(with_recommendations=True)
+            live.latest = record
+            self._save_checkpoint(live)
+            return 201, {
+                "session_id": live.session_id,
+                "dataset": dataset,
+                "degraded": record.degraded,
+                "step": step_to_json(record),
+            }
+
+    def list_sessions(
+        self, payload: Mapping[str, Any]
+    ) -> tuple[int, dict[str, Any]]:
+        return 200, {"sessions": self.registry.summaries()}
+
+    def summary(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
+        with self.registry.acquire(payload["sid"]) as managed:
+            summary = managed.summary(now=time.monotonic())
+            summary["criteria"] = (
+                criteria_to_json(managed.session.criteria)
+                if managed.session is not None
+                else None
+            )
+            if self.worker is not None:
+                summary["worker"] = self.worker
+            return 200, summary
+
+    def close(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
+        sid = payload["sid"]
+        managed = self.registry.close(sid)
+        if self.checkpointer is not None:
+            self.checkpointer.forget(sid)
+        return 200, {
+            "session_id": sid,
+            "closed": True,
+            "n_steps": managed.session.n_steps if managed.session else 0,
+        }
+
+    # -- exploration ----------------------------------------------------------
+    def maps(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
+        sid = payload["sid"]
+        with self.registry.acquire(sid) as managed:
+            record = managed.latest
+            return 200, {
+                "session_id": sid,
+                "step_index": record.index if record else 0,
+                "degraded": record.degraded if record else False,
+                "criteria": criteria_to_json(record.criteria) if record else None,
+                "maps": [
+                    rating_map_to_json(rm, record.result.dw_utility(rm))
+                    for rm in record.result.selected
+                ]
+                if record
+                else [],
+            }
+
+    @staticmethod
+    def _numbered(scored: Iterable[Any]) -> list[dict[str, Any]]:
+        return [recommendation_to_json(i, s) for i, s in enumerate(scored, 1)]
+
+    def _stored(
+        self, managed: ManagedSession, limit: int | None
+    ) -> list[dict[str, Any]]:
+        """The latest step's numbered recommendations, top ``limit``."""
+        scored = managed.latest.recommendations if managed.latest else ()
+        return self._numbered(scored[:limit])
+
+    def recommendations(
+        self, payload: Mapping[str, Any]
+    ) -> tuple[int, dict[str, Any]]:
+        """Stored recommendations, or an anytime answer when a rung is set.
+
+        The caller picks the rung (``rung``) from its load signals and may
+        add a soft ``budget_ms`` and a ``force_cut_after`` chaos cut; the
+        ambient deadline stays the hard limit and still 504s on overrun.
+        """
+        sid = payload["sid"]
+        limit = payload.get("o")
+        budget_ms = payload.get("budget_ms")
+        rung_label = payload.get("rung")
+        if budget_ms is None and rung_label is None:
+            # pre-anytime shape: serve the stored step recommendations
+            with self.registry.acquire(sid) as managed:
+                return 200, {
+                    "session_id": sid,
+                    "recommendations": self._stored(managed, limit),
+                }
+        rung = (
+            QualityRung.from_label(rung_label)
+            if rung_label is not None
+            else QualityRung.FULL
+        )
+        plan = self.ladder.plan(rung)
+        with self.registry.acquire(sid) as managed:
+            if plan.use_cached:
+                quality: dict[str, Any] = {
+                    "rung": rung.label,
+                    "complete": False,
+                    "stale": True,
+                }
+                partial = True
+                recommendations = self._stored(managed, limit)
+            else:
+                result = managed.session.recommendations_anytime(
+                    budget=budget_deadline(budget_ms),
+                    o=limit,
+                    plan=plan,
+                    force_cut_after=payload.get("force_cut_after"),
+                )
+                quality = result.completeness.to_json()
+                partial = result.is_partial
+                recommendations = self._numbered(result)
+        refinement: dict[str, Any] | None = None
+        if partial:
+            token = uuid.uuid4().hex
+            self.refinements.submit(token, lambda: self._refine_job(sid))
+            refinement = {
+                "token": token,
+                "href": f"/sessions/{sid}/recommendations/refine/{token}",
+            }
+        if budget_ms is not None:
+            quality["budget_ms"] = budget_ms
+        return 200, {
+            "session_id": sid,
+            "degraded": partial or rung is not QualityRung.FULL,
+            "quality": quality,
+            "refinement": refinement,
+            "recommendations": recommendations,
+        }
+
+    def _refine_job(self, sid: str) -> dict[str, Any]:
+        """Full-quality recompute backing one refinement token.
+
+        Runs on a refinement-store thread with no ambient deadline or
+        pressure, so the answer it produces is the unbudgeted full-rung
+        result — exactly what the budget-cut request could not wait for.
+        """
+        with self.registry.acquire(sid) as managed:
+            result = managed.session.recommendations_anytime()
+            return {
+                "quality": result.completeness.to_json(),
+                "recommendations": self._numbered(result),
+            }
+
+    def refine(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
+        """Poll one refinement token (``refinement_lost`` → typed 410)."""
+        return 200, {
+            "session_id": payload["sid"],
+            **self.refinements.poll(payload["token"]),
+        }
+
+    def apply(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
+        sid = payload["sid"]
+        body = payload.get("body") or {}
+        directives = [
+            k
+            for k in ("recommendation", "add", "drop", "sql", "criteria")
+            if k in body
+        ]
+        if len(directives) > 1:
+            raise ProtocolError(
+                "apply body must contain exactly one of 'recommendation', "
+                f"'add', 'drop', 'sql' or 'criteria', got {directives}",
+                "invalid_edit",
+            )
+        with self.registry.acquire(sid) as managed:
+            if "recommendation" in body:
+                number = body["recommendation"]
+                scored = managed.latest.recommendations if managed.latest else ()
+                if (
+                    not isinstance(number, int)
+                    or isinstance(number, bool)
+                    or not 1 <= number <= len(scored)
+                ):
+                    raise ProtocolError(
+                        f"invalid recommendation number {number!r} "
+                        f"(the current step offers 1..{len(scored)})",
+                        "invalid_recommendation",
+                    )
+                record = managed.session.step(
+                    scored[number - 1].operation, with_recommendations=True
+                )
+            else:
+                criteria = apply_edit(managed.session.criteria, body)
+                record = managed.session.apply_criteria(
+                    criteria, with_recommendations=True
+                )
+            managed.latest = record
+            self._save_checkpoint(managed)
+            return 200, {
+                "session_id": sid,
+                "degraded": record.degraded,
+                "step": step_to_json(record),
+            }
+
+    def history(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
+        sid = payload["sid"]
+        with self.registry.acquire(sid) as managed:
+            path = ExplorationPath(
+                ExplorationMode.USER_DRIVEN, managed.session.steps
+            )
+            log = ExplorationLog.from_path(
+                path,
+                dataset=managed.dataset,
+                metadata={"session_id": sid},
+            )
+            return 200, log.to_dict()
 
 
 _SESSION_ID = r"(?P<sid>[0-9a-f]{32})"
@@ -668,95 +1059,65 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
     def _run(
         self, handler_name: str, params: dict[str, str]
     ) -> tuple[int, dict[str, Any], dict[str, str]]:
+        headers: dict[str, str] = {}
         try:
             result = getattr(self, handler_name)(**params)
             if len(result) == 3:  # (status, payload, extra headers)
                 status, payload, handler_headers = result
+                headers.update(handler_headers)
             else:
                 status, payload = result
-                handler_headers = {}
-            headers: dict[str, str] = dict(handler_headers)
-            if isinstance(payload, dict):
-                if payload.get("degraded"):
-                    self.server.metrics.record_event("degraded_responses")
-                # forwarded worker error envelopes carry retry_after in the
-                # body; surface it as the Retry-After header the
-                # single-process paths set directly
-                error = payload.get("error")
-                if isinstance(error, dict) and "retry_after" in error:
-                    headers["Retry-After"] = (
-                        f"{max(1, round(error['retry_after']))}"
-                    )
-            return status, payload, headers
-        except _PayloadTooLarge as error:
+        except Exception as error:  # noqa: BLE001 - mapped to envelopes
+            status, payload = self._error_envelope(error)
+            if isinstance(error, DatasetLoadError):
+                headers["Retry-After"] = "1"  # no countdown for the body
+        if isinstance(payload, dict):
+            if payload.get("degraded"):
+                self.server.metrics.record_event("degraded_responses")
+            # error envelopes carry retry_after in the body (worker replies
+            # included); surface it as the Retry-After header
+            error_body = payload.get("error")
+            if isinstance(error_body, dict) and "retry_after" in error_body:
+                headers["Retry-After"] = (
+                    f"{max(1, round(error_body['retry_after']))}"
+                )
+        return status, payload, headers
+
+    def _error_envelope(self, error: Exception) -> tuple[int, dict[str, Any]]:
+        """The front's own failures first, then the shared session map."""
+        metrics = self.server.metrics
+        if isinstance(error, _PayloadTooLarge):
             self.close_connection = True  # unread body still on the wire
-            return 413, error_payload("payload_too_large", str(error)), {}
-        except DeadlineExceeded as error:
-            self.server.metrics.record_event("deadline_exceeded")
-            return (
-                504,
-                error_payload("deadline_exceeded", str(error), retryable=True),
-                {},
+            return 413, error_payload("payload_too_large", str(error))
+        if isinstance(error, BreakerOpenError):
+            return 503, error_payload(
+                "dataset_unavailable",
+                str(error),
+                retryable=True,
+                retry_after=error.retry_after,
             )
-        except BreakerOpenError as error:
-            return (
-                503,
-                error_payload(
-                    "dataset_unavailable",
-                    str(error),
-                    retryable=True,
-                    retry_after=error.retry_after,
-                ),
-                {"Retry-After": f"{max(1, round(error.retry_after))}"},
+        if isinstance(error, DatasetLoadError):
+            return 503, error_payload(
+                "dataset_unavailable", str(error), retryable=True
             )
-        except DatasetLoadError as error:
-            return (
-                503,
-                error_payload("dataset_unavailable", str(error), retryable=True),
-                {"Retry-After": "1"},
+        if isinstance(error, InjectedFault):
+            metrics.record_event("injected_faults")
+            return 500, error_payload(
+                "injected_fault", str(error), retryable=True
             )
-        except ProtocolError as error:
-            return 400, error_payload(error.code, str(error)), {}
-        except UnknownSessionError as error:
-            return 404, error_payload("unknown_session", str(error)), {}
-        except SessionGoneError as error:
-            return 410, error_payload("session_gone", str(error)), {}
-        except RefinementLostError as error:
-            self.server.metrics.record_event("refinements_lost")
-            return 410, error_payload("refinement_lost", str(error)), {}
-        except SessionLimitError as error:
-            return (
-                429,
-                error_payload("too_many_sessions", str(error), retryable=True),
-                {"Retry-After": "1"},
+        if isinstance(error, cluster_supervisor.WorkerUnavailableError):
+            metrics.record_event("worker_unavailable")
+            return 503, error_payload(
+                "worker_unavailable",
+                str(error),
+                retryable=True,
+                retry_after=error.retry_after,
             )
-        except InjectedFault as error:
-            self.server.metrics.record_event("injected_faults")
-            return 500, error_payload("injected_fault", str(error), retryable=True), {}
-        except (EmptyGroupError, OperationError) as error:
-            return 400, error_payload("empty_group", str(error)), {}
-        except cluster_supervisor.WorkerUnavailableError as error:
-            self.server.metrics.record_event("worker_unavailable")
-            return (
-                503,
-                error_payload(
-                    "worker_unavailable",
-                    str(error),
-                    retryable=True,
-                    retry_after=error.retry_after,
-                ),
-                {"Retry-After": f"{max(1, round(error.retry_after))}"},
-            )
-        except ReproError as error:
-            return 400, error_payload("bad_request", str(error)), {}
-        except Exception as error:  # noqa: BLE001 - last-resort 500
-            return (
-                500,
-                error_payload(
-                    "internal_error", f"{type(error).__name__}: {error}"
-                ),
-                {},
-            )
+        if isinstance(error, DeadlineExceeded):
+            metrics.record_event("deadline_exceeded")
+        elif isinstance(error, RefinementLostError):
+            metrics.record_event("refinements_lost")
+        return error_envelope(error)
 
     def _send(
         self,
@@ -812,20 +1173,26 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
     def _query(self) -> dict[str, list[str]]:
         return parse_qs(urlsplit(self.path).query)
 
-    # -- cluster forwarding ---------------------------------------------------
-    def _cluster_forward(
-        self, op: str, sid: str, payload: dict[str, Any]
+    # -- session ops --------------------------------------------------------
+    def _session_op(
+        self, op: str, payload: dict[str, Any]
     ) -> tuple[int, dict[str, Any]]:
-        """Route a session op to its ring-owning worker; relay the reply.
+        """Run a session op on the local service or its owning worker.
 
-        Transport failures and open worker breakers surface as
-        :class:`~repro.cluster.supervisor.WorkerUnavailableError` — a retryable 503 with
-        ``Retry-After`` — instead of hanging the caller on a dead worker.
+        In cluster mode the op routes by ``payload["sid"]`` to the
+        ring-owning worker, which runs the same :class:`SessionService`
+        and answers an :func:`error_envelope` for a failed op.  Transport
+        failures and open worker breakers surface as
+        :class:`~repro.cluster.supervisor.WorkerUnavailableError` — a
+        retryable 503 with ``Retry-After`` — instead of hanging the
+        caller on a dead worker.
         """
         cluster = self.server.cluster
-        worker = cluster.route(sid)
+        if cluster is None:
+            return self.server.sessions.run(op, payload)
+        worker = cluster.route(payload["sid"])
         try:
-            return cluster.call(worker, op, {"sid": sid, **payload})
+            return cluster.call(worker, op, payload)
         except BreakerOpenError as error:
             raise cluster_supervisor.WorkerUnavailableError(
                 worker, str(error), error.retry_after
@@ -1169,85 +1536,30 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
             ],
         }
 
-    # -- session lifecycle ---------------------------------------------------
+    # -- sessions -------------------------------------------------------------
     def handle_create(self) -> tuple[int, dict[str, Any]]:
         body = self._json_body()
         if self.server.cluster is not None:
             # the front picks the id so it can route before the session
-            # exists; the worker adopts the session under this id
-            sid = uuid.uuid4().hex
-            return self._cluster_forward("session.create", sid, {"body": body})
-        dataset = body.get("dataset") or self.server.pool.default_dataset
-        if not isinstance(dataset, str):
-            raise ProtocolError("'dataset' must be a string", "invalid_request")
-        annotate(dataset=dataset)
-        engine = self.server.pool.get(dataset)
-        start = (
-            criteria_from_json(body["criteria"])
-            if body.get("criteria") is not None
-            else None
-        )
-        managed = self.server.registry.create(
-            dataset, lambda: engine.session(start)
-        )
-        with self.server.registry.acquire(managed.session_id) as live:
-            record = live.session.step(with_recommendations=True)
-            live.latest = record
-            self.server.save_checkpoint(live)
-            return 201, {
-                "session_id": live.session_id,
-                "dataset": dataset,
-                "degraded": record.degraded,
-                "step": step_to_json(record),
-            }
+            # exists; the owning worker creates the session under it
+            return self._session_op(
+                "session.create", {"sid": uuid.uuid4().hex, "body": body}
+            )
+        return self._session_op("session.create", {"body": body})
 
     def handle_list(self) -> tuple[int, dict[str, Any]]:
         if self.server.cluster is not None:
             return 200, {"sessions": self.server.cluster.live_sessions()}
-        return 200, {"sessions": self.server.registry.summaries()}
+        return self._session_op("sessions.list", {})
 
     def handle_summary(self, sid: str) -> tuple[int, dict[str, Any]]:
-        if self.server.cluster is not None:
-            return self._cluster_forward("session.summary", sid, {})
-        registry = self.server.registry
-        with registry.acquire(sid) as managed:
-            summary = managed.summary(now=time.monotonic())
-            summary["criteria"] = (
-                criteria_to_json(managed.session.criteria)
-                if managed.session is not None
-                else None
-            )
-            return 200, summary
+        return self._session_op("session.summary", {"sid": sid})
 
     def handle_close(self, sid: str) -> tuple[int, dict[str, Any]]:
-        if self.server.cluster is not None:
-            return self._cluster_forward("session.close", sid, {})
-        managed = self.server.registry.close(sid)
-        self.server.forget_checkpoint(sid)
-        return 200, {
-            "session_id": sid,
-            "closed": True,
-            "n_steps": managed.session.n_steps if managed.session else 0,
-        }
+        return self._session_op("session.close", {"sid": sid})
 
-    # -- exploration ---------------------------------------------------------
     def handle_maps(self, sid: str) -> tuple[int, dict[str, Any]]:
-        if self.server.cluster is not None:
-            return self._cluster_forward("session.maps", sid, {})
-        with self.server.registry.acquire(sid) as managed:
-            record = managed.latest
-            return 200, {
-                "session_id": sid,
-                "step_index": record.index if record else 0,
-                "degraded": record.degraded if record else False,
-                "criteria": criteria_to_json(record.criteria) if record else None,
-                "maps": [
-                    rating_map_to_json(rm, record.result.dw_utility(rm))
-                    for rm in record.result.selected
-                ]
-                if record
-                else [],
-            }
+        return self._session_op("session.maps", {"sid": sid})
 
     def handle_recommendations(self, sid: str) -> tuple[int, dict[str, Any]]:
         query = self._query()
@@ -1280,175 +1592,48 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
         engaged = server.config.anytime_enabled and (
             budget_ms is not None or under_pressure()
         )
-        if server.cluster is not None:
-            if not engaged:
-                return self._cluster_forward(
-                    "session.recommendations", sid, {"o": limit}
-                )
-            # the front owns the load signals, so it picks the rung; the
-            # plan ships to the shard owner inside the op payload (the
-            # envelope deadline stays the *hard* limit)
-            rung = server.anytime.select_rung()
-            status, payload = self._cluster_forward(
-                "session.recommendations",
-                sid,
-                {"o": limit, "budget_ms": budget_ms, "rung": rung.label},
-            )
-            if status == 200 and isinstance(payload, dict):
-                quality = payload.get("quality") or {}
-                server.anytime.record(
-                    QualityRung.from_label(quality.get("rung", rung.label)),
-                    partial=not quality.get("complete", True),
-                    snapshots=int(quality.get("snapshots", 0)),
-                )
-            return status, payload
         if not engaged:
-            with server.registry.acquire(sid) as managed:
-                scored = managed.latest.recommendations if managed.latest else ()
-                if limit is not None:
-                    scored = scored[:limit]
-                return 200, {
-                    "session_id": sid,
-                    "recommendations": [
-                        recommendation_to_json(i, s)
-                        for i, s in enumerate(scored, 1)
-                    ],
-                }
-        return self._anytime_recommendations(sid, limit, budget_ms)
-
-    def _anytime_recommendations(
-        self, sid: str, limit: int | None, budget_ms: int | None
-    ) -> tuple[int, dict[str, Any]]:
-        """Budget-bounded / degraded recommendations with refinement."""
-        server = self.server
+            return self._session_op(
+                "session.recommendations", {"sid": sid, "o": limit}
+            )
+        # the front owns the load signals, so it picks the rung (and any
+        # chaos budget cut); the session owner runs the plan
         started = time.perf_counter()
         rung = server.anytime.select_rung()
-        plan = server.anytime.ladder.plan(rung)
         force_cut: int | None = None
         if server.fault_plan is not None:
             force_cut = server.fault_plan.budget_cut("anytime.recommend")
-        with server.registry.acquire(sid) as managed:
-            if plan.use_cached:
-                scored = managed.latest.recommendations if managed.latest else ()
-                if limit is not None:
-                    scored = scored[:limit]
-                quality: dict[str, Any] = {
-                    "rung": rung.label,
-                    "complete": False,
-                    "stale": True,
-                }
-                partial = True
-                recommendations = [
-                    recommendation_to_json(i, s)
-                    for i, s in enumerate(scored, 1)
-                ]
-            else:
-                result = managed.session.recommendations_anytime(
-                    budget=budget_deadline(budget_ms),
-                    o=limit,
-                    plan=plan,
-                    force_cut_after=force_cut,
-                )
-                quality = result.completeness.to_json()
-                partial = result.is_partial
-                recommendations = [
-                    recommendation_to_json(i, s)
-                    for i, s in enumerate(result, 1)
-                ]
-        refinement: dict[str, Any] | None = None
-        if partial:
-            token = uuid.uuid4().hex
-            server.refinements.submit(
-                token, lambda: server.refine_session(sid)
-            )
-            refinement = {
-                "token": token,
-                "href": f"/sessions/{sid}/recommendations/refine/{token}",
-            }
-        server.anytime.observe_latency(time.perf_counter() - started)
-        server.anytime.record(
-            rung,
-            partial=partial,
-            snapshots=int(quality.get("snapshots", 0)),
-            forced_cut=force_cut is not None and bool(quality.get("budget_cut")),
+        status, payload = self._session_op(
+            "session.recommendations",
+            {
+                "sid": sid,
+                "o": limit,
+                "budget_ms": budget_ms,
+                "rung": rung.label,
+                "force_cut_after": force_cut,
+            },
         )
-        if budget_ms is not None:
-            quality["budget_ms"] = budget_ms
-        return 200, {
-            "session_id": sid,
-            "degraded": partial or rung is not QualityRung.FULL,
-            "quality": quality,
-            "refinement": refinement,
-            "recommendations": recommendations,
-        }
+        if status == 200:
+            quality = payload["quality"]
+            server.anytime.observe_latency(time.perf_counter() - started)
+            server.anytime.record(
+                rung,
+                partial=not quality["complete"],
+                snapshots=int(quality.get("snapshots", 0)),
+                forced_cut=force_cut is not None
+                and bool(quality.get("budget_cut")),
+            )
+        return status, payload
 
     def handle_refine(self, sid: str, token: str) -> tuple[int, dict[str, Any]]:
-        """Poll one refinement token (``refinement_lost`` → typed 410)."""
-        if self.server.cluster is not None:
-            return self._cluster_forward(
-                "session.refine", sid, {"token": token}
-            )
-        payload = self.server.refinements.poll(token)
-        return 200, {"session_id": sid, **payload}
+        return self._session_op("session.refine", {"sid": sid, "token": token})
 
     def handle_apply(self, sid: str) -> tuple[int, dict[str, Any]]:
         body = self._json_body()
-        if self.server.cluster is not None:
-            return self._cluster_forward("session.apply", sid, {"body": body})
-        directives = [
-            k
-            for k in ("recommendation", "add", "drop", "sql", "criteria")
-            if k in body
-        ]
-        if len(directives) > 1:
-            raise ProtocolError(
-                "apply body must contain exactly one of 'recommendation', "
-                f"'add', 'drop', 'sql' or 'criteria', got {directives}",
-                "invalid_edit",
-            )
-        with self.server.registry.acquire(sid) as managed:
-            if "recommendation" in body:
-                number = body["recommendation"]
-                scored = managed.latest.recommendations if managed.latest else ()
-                if (
-                    not isinstance(number, int)
-                    or isinstance(number, bool)
-                    or not 1 <= number <= len(scored)
-                ):
-                    raise ProtocolError(
-                        f"invalid recommendation number {number!r} "
-                        f"(the current step offers 1..{len(scored)})",
-                        "invalid_recommendation",
-                    )
-                record = managed.session.step(
-                    scored[number - 1].operation, with_recommendations=True
-                )
-            else:
-                criteria = apply_edit(managed.session.criteria, body)
-                record = managed.session.apply_criteria(
-                    criteria, with_recommendations=True
-                )
-            managed.latest = record
-            self.server.save_checkpoint(managed)
-            return 200, {
-                "session_id": sid,
-                "degraded": record.degraded,
-                "step": step_to_json(record),
-            }
+        return self._session_op("session.apply", {"sid": sid, "body": body})
 
     def handle_history(self, sid: str) -> tuple[int, dict[str, Any]]:
-        if self.server.cluster is not None:
-            return self._cluster_forward("session.history", sid, {})
-        with self.server.registry.acquire(sid) as managed:
-            path = ExplorationPath(
-                ExplorationMode.USER_DRIVEN, managed.session.steps
-            )
-            log = ExplorationLog.from_path(
-                path,
-                dataset=managed.dataset,
-                metadata={"session_id": sid},
-            )
-            return 200, log.to_dict()
+        return self._session_op("session.history", {"sid": sid})
 
 
 class SubDExServer(ThreadingHTTPServer):
@@ -1476,6 +1661,23 @@ class SubDExServer(ThreadingHTTPServer):
             max_sessions=self.config.max_sessions,
             ttl_seconds=self.config.session_ttl_seconds,
             fault_plan=fault_plan,
+        )
+        #: the session ops, run here with 0 workers (in cluster mode each
+        #: worker runs its own and this one stays idle)
+        self.sessions = SessionService(
+            pool.get,
+            pool.default_dataset,
+            self.registry,
+            checkpoint_store=(
+                CheckpointStore(self.config.checkpoint_dir, fault_plan=fault_plan)
+                if self.config.checkpoint_dir is not None
+                else None
+            ),
+            checkpoint_interval_seconds=self.config.checkpoint_interval_seconds,
+            refinements=RefinementStore(
+                capacity=self.config.refinement_capacity,
+                ttl_seconds=self.config.refinement_ttl_seconds,
+            ),
         )
         self.metrics = ServerMetrics(
             reservoir_size=self.config.metrics_reservoir_size
@@ -1553,65 +1755,11 @@ class SubDExServer(ThreadingHTTPServer):
             latency_target_ms=self.config.anytime_latency_target_ms,
             breaker_states=self._breaker_states,
         )
-        self.refinements = RefinementStore(
-            capacity=self.config.refinement_capacity,
-            ttl_seconds=self.config.refinement_ttl_seconds,
-        )
-        self.checkpointer: SessionCheckpointer | None = None
-        if self.config.checkpoint_dir is not None:
-            store = CheckpointStore(
-                self.config.checkpoint_dir, fault_plan=fault_plan
-            )
-            self.checkpointer = SessionCheckpointer(
-                store,
-                source=self._checkpoint_source,
-                interval_seconds=self.config.checkpoint_interval_seconds,
-            )
 
     @property
     def url(self) -> str:
         host, port = self.server_address[0], self.server_address[1]
         return f"http://{host}:{port}"
-
-    # -- checkpointing --------------------------------------------------------
-    def _checkpoint_source(self) -> Iterator[SessionCheckpoint]:
-        """Periodic-flush source: every live session whose lock is free.
-
-        A busy session is mid-mutation and will checkpoint itself when the
-        handler finishes; skipping it avoids stalling the flush thread on
-        a long-running step.
-        """
-        for managed in self.registry.live_sessions():
-            if managed.session is None:
-                continue
-            if not managed.lock.acquire(blocking=False):
-                continue
-            try:
-                yield SessionCheckpoint.capture(
-                    managed.session_id,
-                    managed.dataset,
-                    managed.created_wall,
-                    managed.session,
-                )
-            finally:
-                managed.lock.release()
-
-    def save_checkpoint(self, managed: ManagedSession) -> None:
-        """On-mutation checkpoint (caller holds the session lock)."""
-        if self.checkpointer is None or managed.session is None:
-            return
-        self.checkpointer.save(
-            SessionCheckpoint.capture(
-                managed.session_id,
-                managed.dataset,
-                managed.created_wall,
-                managed.session,
-            )
-        )
-
-    def forget_checkpoint(self, session_id: str) -> None:
-        if self.checkpointer is not None:
-            self.checkpointer.forget(session_id)
 
     # -- SLO events -----------------------------------------------------------
     def _on_slo_event(self, event: Mapping[str, Any]) -> None:
@@ -1635,53 +1783,11 @@ class SubDExServer(ThreadingHTTPServer):
             for snapshot in self.pool.breaker_snapshots().values()
         ]
 
-    def refine_session(self, sid: str) -> dict[str, Any]:
-        """Full-quality recompute backing one refinement token.
-
-        Runs on a refinement-store thread with no ambient deadline or
-        pressure, so the answer it produces is the unbudgeted full-rung
-        result — exactly what the budget-cut request could not wait for.
-        """
-        with self.registry.acquire(sid) as managed:
-            result = managed.session.recommendations_anytime()
-            return {
-                "quality": result.completeness.to_json(),
-                "recommendations": [
-                    recommendation_to_json(i, s)
-                    for i, s in enumerate(result, 1)
-                ],
-            }
-
     def restore_sessions(self) -> int:
-        """Replay every checkpoint in the store into live sessions.
-
-        Called once before serving.  A checkpoint that cannot be restored
-        (unknown dataset, failing engine, replay error) is skipped and
-        counted — a corrupt session must not block the healthy ones.
-        """
-        if self.checkpointer is None:
-            return 0
-        restored = 0
-        for checkpoint in self.checkpointer.store.load_all():
-            try:
-                engine = self.pool.get(checkpoint.dataset)
-                session = restore_session(engine, checkpoint)
-                managed = self.registry.adopt(
-                    checkpoint.session_id,
-                    checkpoint.dataset,
-                    session,
-                    created_wall=checkpoint.created_wall,
-                )
-                managed.latest = session.steps[-1] if session.steps else None
-                restored += 1
-            except Exception:  # noqa: BLE001 - skip the unrestorable
-                self.metrics.record_event("restore_failures")
-                _log.warning(
-                    "failed to restore session %s (dataset %r); skipping it",
-                    checkpoint.session_id,
-                    checkpoint.dataset,
-                    exc_info=True,
-                )
+        """Replay the checkpoint store into live sessions (before serving)."""
+        restored, failed = self.sessions.restore()
+        if failed:
+            self.metrics.record_event("restore_failures", failed)
         if restored:
             self.metrics.record_event("sessions_restored", restored)
             _log.info("restored %d checkpointed session(s)", restored)
@@ -1689,8 +1795,8 @@ class SubDExServer(ThreadingHTTPServer):
 
     def start_background(self) -> None:
         """Start the periodic checkpoint flusher (no-op without one)."""
-        if self.checkpointer is not None:
-            self.checkpointer.start()
+        if self.sessions.checkpointer is not None:
+            self.sessions.checkpointer.start()
 
     # -- shutdown -------------------------------------------------------------
     def graceful_shutdown(self, drain_seconds: float | None = None) -> bool:
@@ -1711,9 +1817,10 @@ class SubDExServer(ThreadingHTTPServer):
                 "drain deadline hit after %.1fs; aborting in-flight requests",
                 budget,
             )
-        if self.checkpointer is not None:
-            self.checkpointer.stop()
-            self.checkpointer.flush()  # one final checkpoint per live session
+        checkpointer = self.sessions.checkpointer
+        if checkpointer is not None:
+            checkpointer.stop()
+            checkpointer.flush()  # one final checkpoint per live session
         if self.cluster is not None:
             # drain workers (each flushes its own checkpoints), join their
             # processes, unlink every shared-memory segment
@@ -1729,10 +1836,10 @@ class SubDExServer(ThreadingHTTPServer):
             "gate": self.gate.counters(),
             "breakers": self.pool.breaker_snapshots(),
             "anytime": self.anytime.counters(),
-            "refinements": self.refinements.counters(),
+            "refinements": self.sessions.refinements.counters(),
         }
-        if self.checkpointer is not None:
-            snapshot["checkpoints"] = self.checkpointer.counters()
+        if self.sessions.checkpointer is not None:
+            snapshot["checkpoints"] = self.sessions.checkpointer.counters()
         if self.fault_plan is not None:
             snapshot["faults"] = self.fault_plan.counters()
         return snapshot
@@ -1827,13 +1934,13 @@ class SubDExServer(ThreadingHTTPServer):
             )
         families.append(breaker_state)
 
-        if self.checkpointer is not None:
+        if self.sessions.checkpointer is not None:
             checkpoints = MetricFamily(
                 "subdex_checkpoints_total",
                 "counter",
                 "Checkpoint events by kind.",
             )
-            for kind, value in self.checkpointer.counters().items():
+            for kind, value in self.sessions.checkpointer.counters().items():
                 checkpoints.add(value, kind=kind)
             families.append(checkpoints)
 
@@ -1873,7 +1980,7 @@ class SubDExServer(ThreadingHTTPServer):
             "counter",
             "Background refinement-job events by kind.",
         )
-        for kind, value in self.refinements.counters().items():
+        for kind, value in self.sessions.refinements.counters().items():
             refinements.add(value, kind=kind)
         families.append(refinements)
 

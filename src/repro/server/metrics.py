@@ -25,24 +25,9 @@ from collections import deque
 from typing import Any, Mapping
 
 from ..obs.metrics import MetricsRegistry
+from ..perf.spanstats import percentile
 
-__all__ = ["ServerMetrics", "pure_percentile"]
-
-
-def pure_percentile(samples: list[float], q: float) -> float:
-    """The ``q``-th percentile (0–100), linear interpolation, no numpy."""
-    if not samples:
-        return float("nan")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+__all__ = ["ServerMetrics"]
 
 
 class _EndpointStats:
@@ -57,19 +42,14 @@ class _EndpointStats:
 
     def snapshot(self) -> dict[str, Any]:
         samples = list(self.latencies)
-        if not samples:
-            # None → JSON null; float("nan") would serialise as the bare
-            # token NaN, which strict JSON parsers reject
-            latency: dict[str, float | None] = {
-                "mean": None, "p50": None, "p95": None, "p99": None,
-            }
-        else:
-            latency = {
-                "mean": sum(samples) / len(samples),
-                "p50": pure_percentile(samples, 50.0),
-                "p95": pure_percentile(samples, 95.0),
-                "p99": pure_percentile(samples, 99.0),
-            }
+        # None → JSON null; float("nan") would serialise as the bare token
+        # NaN, which strict JSON parsers reject
+        latency = {
+            "mean": sum(samples) / len(samples) if samples else None,
+            "p50": percentile(samples, 50.0),
+            "p95": percentile(samples, 95.0),
+            "p99": percentile(samples, 99.0),
+        }
         return {
             "count": self.count,
             "errors": self.errors,

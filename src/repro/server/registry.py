@@ -152,17 +152,25 @@ class SessionRegistry:
 
     # -- lifecycle ----------------------------------------------------------
     def create(
-        self, dataset: str, factory: Callable[[], ExplorationSession]
+        self,
+        dataset: str,
+        factory: Callable[[], ExplorationSession],
+        session_id: str | None = None,
     ) -> ManagedSession:
         """Register a new session, enforcing the cap.
 
+        ``session_id`` is the caller's choice (a cluster front picks it so
+        it can route before the session exists); ``None`` generates one.
         The (possibly expensive) session construction runs outside the
         registry lock; the slot is claimed first so a create stampede
         cannot overshoot the cap.
         """
         self.evict_idle()
-        session_id = uuid.uuid4().hex
+        if session_id is None:
+            session_id = uuid.uuid4().hex
         with self._lock:
+            if session_id in self._sessions:
+                raise ReproError(f"session {session_id!r} already live")
             if len(self._sessions) >= self._max_sessions:
                 self.rejected += 1
                 raise SessionLimitError(self._max_sessions)
@@ -220,7 +228,7 @@ class SessionRegistry:
     ) -> ManagedSession:
         """Register a restored session under its original id.
 
-        Used by checkpoint restore on startup: the id was issued by a
+        Used only by checkpoint restore on startup: the id was issued by a
         previous incarnation of this server, so clients holding it must
         keep working.  Beyond-cap restores raise
         :class:`SessionLimitError` (oldest checkpoints win).

@@ -21,11 +21,11 @@ import urllib.request
 import pytest
 
 from repro.core.engine import SubDEx, SubDExConfig
+from repro.resilience.faults import FaultPlan
 from repro.server import ServerConfig, ServerError, SubDExClient, build_server
 
 
-@pytest.fixture()
-def anytime_server(db_factory, tmp_path):
+def _start(db_factory, tmp_path, fault_plan=None):
     server = build_server(
         {"synthetic": lambda: SubDEx(db_factory(seed=3), SubDExConfig())},
         config=ServerConfig(
@@ -34,8 +34,15 @@ def anytime_server(db_factory, tmp_path):
             worker_heartbeat_seconds=0.15,
             checkpoint_dir=str(tmp_path / "checkpoints"),
         ),
+        fault_plan=fault_plan,
     )
     threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+@pytest.fixture()
+def anytime_server(db_factory, tmp_path):
+    server = _start(db_factory, tmp_path)
     yield server
     server.graceful_shutdown(drain_seconds=5.0)
 
@@ -106,6 +113,42 @@ def test_worker_refines_its_own_partial(client):
     assert refined["quality"]["complete"] is True
     assert _numbers(refined["recommendations"]) == _numbers(plain)
     session.close()
+
+
+def test_forced_cut_yields_partial_then_refines(db_factory, tmp_path):
+    """The front's FaultPlan budget cut reaches the shard owner, and the
+    front's anytime accounting sees it, exactly as with 0 workers."""
+    plan = FaultPlan(budget_cut_phases={"anytime.recommend": 1})
+    server = _start(db_factory, tmp_path, fault_plan=plan)
+    try:
+        with SubDExClient(server.url) as client:
+            session = client.create_session()
+            full = session.recommendations()
+            payload = session.recommend(budget_ms=60_000)
+            quality = payload["quality"]
+            assert payload["degraded"] is True
+            assert quality["complete"] is False
+            assert quality["budget_cut"] is True
+            assert quality["snapshots"] == 1
+            assert 0 < quality["candidates_scanned"] < quality["candidates_total"]
+            assert plan.counters()["anytime.recommend"]["budget_cuts"] >= 1
+
+            refinement = payload["refinement"]
+            assert refinement is not None and refinement["token"]
+            assert refinement["href"].endswith(refinement["token"])
+            refined = session.wait_for_refinement(
+                refinement["token"], timeout=30.0
+            )
+            assert refined["status"] == "done"
+            assert refined["quality"]["complete"] is True
+            assert _numbers(refined["recommendations"]) == _numbers(full)
+
+            anytime = client.metrics()["resilience"]["anytime"]
+            assert anytime["latency_ewma_ms"] is not None
+            assert anytime["forced_cuts"] == 1
+            assert anytime["partials"] == 1
+    finally:
+        server.graceful_shutdown(drain_seconds=5.0)
 
 
 def test_sigkilled_worker_loses_tokens_loudly(anytime_server, client):

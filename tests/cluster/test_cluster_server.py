@@ -5,8 +5,10 @@ session lists) are wired through the front."""
 
 from __future__ import annotations
 
+import json
 import os
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
@@ -97,7 +99,24 @@ def test_cluster_maps_with_criteria_and_k(single, sharded):
     assert mine["maps"] == theirs["maps"]
 
 
-def test_session_flow_byte_identical(single, sharded, strip):
+def _raw(url, method="GET", body=None):
+    """(status, body bytes) of one request, error statuses included."""
+    request = urllib.request.Request(
+        url,
+        data=None if body is None else json.dumps(body).encode(),
+        method=method,
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read()
+
+
+def test_session_flow_byte_identical(
+    single_server, sharded_server, single, sharded, strip
+):
     mine, theirs = single.create_session(), sharded.create_session()
     for path in ("maps", "recommendations", "history"):
         a = single.request("GET", f"/sessions/{mine.id}/{path}")
@@ -110,8 +129,28 @@ def test_session_flow_byte_identical(single, sharded, strip):
     a = single.request("GET", f"/sessions/{mine.id}/history")
     b = sharded.request("GET", f"/sessions/{theirs.id}/history")
     assert strip(a) == strip(b)
-    mine.close()
-    theirs.close()
+    # the summary matches once the owning worker's tag is dropped
+    a = single.request("GET", f"/sessions/{mine.id}")
+    b = sharded.request("GET", f"/sessions/{theirs.id}")
+    assert "worker" not in a and b.pop("worker") in (0, 1)
+    assert strip(a) == strip(b)
+    # failed ops answer the same status and body bytes
+    for method, path, body, status, code in (
+        ("GET", "/sessions/" + "0" * 32, None, 404, "unknown_session"),
+        ("POST", "/sessions/{}/apply", {"recommendation": 999},
+         400, "invalid_recommendation"),
+        ("POST", "/sessions/{}/apply", {"recommendation": 1, "sql": "x"},
+         400, "invalid_edit"),
+    ):
+        a = _raw(single_server.url + path.format(mine.id), method, body)
+        b = _raw(sharded_server.url + path.format(theirs.id), method, body)
+        assert a == b, f"{code} differs"
+        assert a[0] == status
+        assert json.loads(a[1])["error"]["code"] == code
+    a = single.request("DELETE", f"/sessions/{mine.id}")
+    b = sharded.request("DELETE", f"/sessions/{theirs.id}")
+    assert a["closed"] is True
+    assert strip(a) == strip(b)
 
 
 def test_sessions_list_carries_worker_tag(sharded):

@@ -41,6 +41,15 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
 
+    def test_matches_numpy(self):
+        import numpy as np
+
+        samples = list(np.random.default_rng(3).uniform(0, 1, 101))
+        for q in (0.0, 25.0, 50.0, 95.0, 100.0):
+            assert percentile(samples, q) == pytest.approx(
+                float(np.percentile(samples, q))
+            )
+
 
 class TestSpanStatsSink:
     def test_exclusive_subtracts_direct_children(self):

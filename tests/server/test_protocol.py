@@ -3,7 +3,6 @@
 import pytest
 
 from repro.model import AVPair, SelectionCriteria, Side
-from repro.server.metrics import pure_percentile
 from repro.server.protocol import (
     ProtocolError,
     apply_edit,
@@ -157,24 +156,3 @@ class TestErrorPayload:
         payload = error_payload("nope", "went wrong")
         assert payload == {"error": {"code": "nope", "message": "went wrong"}}
 
-
-class TestPurePercentile:
-    def test_median(self):
-        assert pure_percentile([1.0, 2.0, 3.0], 50.0) == 2.0
-
-    def test_interpolates(self):
-        assert pure_percentile([0.0, 10.0], 50.0) == 5.0
-
-    def test_empty_is_nan(self):
-        import math
-
-        assert math.isnan(pure_percentile([], 95.0))
-
-    def test_matches_numpy(self):
-        import numpy as np
-
-        samples = list(np.random.default_rng(3).uniform(0, 1, 101))
-        for q in (0.0, 25.0, 50.0, 95.0, 100.0):
-            assert pure_percentile(samples, q) == pytest.approx(
-                float(np.percentile(samples, q))
-            )

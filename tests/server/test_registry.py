@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.exceptions import ReproError
 from repro.server.registry import (
     SessionGoneError,
     SessionLimitError,
@@ -73,6 +74,18 @@ class TestLifecycle:
             registry.create("tiny", boom)
         assert registry.live_count == 0
         registry.create("tiny", _session)  # the slot is reusable
+
+    def test_given_id_is_honoured(self, registry):
+        managed = registry.create("tiny", _session, session_id="a" * 32)
+        assert managed.session_id == "a" * 32
+        with registry.acquire("a" * 32) as live:
+            assert live is managed
+
+    def test_duplicate_live_id_raises(self, registry):
+        registry.create("tiny", _session, session_id="a" * 32)
+        with pytest.raises(ReproError, match="already live"):
+            registry.create("tiny", _session, session_id="a" * 32)
+        assert registry.live_count == 1
 
 
 class TestCap:

@@ -109,6 +109,21 @@ class TestSessionLifecycle:
             assert exc.value.status == 429
             assert exc.value.code == "too_many_sessions"
 
+    def test_session_cap_429_body_carries_retry_after(self, make_server):
+        server = make_server(max_sessions=1)
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for _ in range(2):
+                connection.request("POST", "/sessions", body=b"{}")
+                response = connection.getresponse()
+                body = json.loads(response.read())
+            assert response.status == 429
+            assert body["error"]["retry_after"] == 1
+            assert response.getheader("Retry-After") == "1"
+        finally:
+            connection.close()
+
     def test_idle_eviction_410(self, make_server):
         server = make_server(max_sessions=4, session_ttl_seconds=0.05)
         with SubDExClient(server.url) as client:
