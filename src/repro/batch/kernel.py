@@ -68,6 +68,7 @@ __all__ = [
     "batch_raw_scores",
     "batch_dw_column",
     "batch_family_scores",
+    "batch_family_normalized",
     "batch_family_dw",
 ]
 
@@ -405,16 +406,15 @@ def batch_family_scores(
     )
 
 
-def batch_family_dw(
-    scores: FamilyScores, weights: np.ndarray, config: UtilityConfig
-) -> np.ndarray:
-    """The family's full ``(n_candidates, n_specs)`` DW-utility matrix.
+def batch_family_normalized(
+    scores: FamilyScores, config: UtilityConfig
+) -> list[np.ndarray]:
+    """SQUASH-normalised ``(n_candidates, n_specs)`` matrices, one per
+    criterion of ``config.criteria`` (in that order).
 
-    ``weights[j]`` is spec ``j``'s combined dimension × attribute weight.
-    Column ``j`` equals ``batch_dw_column(spec_j, weights[j], config)`` bit
-    for bit: the normalisations are element-wise (conciseness maps through
-    the same per-``n_subgroups`` lookup values) and the MAX aggregation and
-    weight multiply are element-wise too.
+    Element-wise mirrors of ``normalize_criteria``: conciseness maps each
+    ``n_subgroups`` through the same :func:`conciseness_01` values, the
+    bounded criteria are clipped.
     """
     normalized: list[np.ndarray] = []
     for criterion in config.criteria:
@@ -432,6 +432,27 @@ def batch_family_dw(
         else:
             norm = np.clip(scores.pec_global, 0.0, 1.0)
         normalized.append(norm)
+    return normalized
+
+
+def batch_family_dw(
+    scores: FamilyScores,
+    weights: np.ndarray,
+    config: UtilityConfig,
+    normalized: "Sequence[np.ndarray] | None" = None,
+) -> np.ndarray:
+    """The family's full ``(n_candidates, n_specs)`` DW-utility matrix.
+
+    ``weights[j]`` is spec ``j``'s combined dimension × attribute weight.
+    Column ``j`` equals ``batch_dw_column(spec_j, weights[j], config)`` bit
+    for bit: the normalisations are element-wise (conciseness maps through
+    the same per-``n_subgroups`` lookup values) and the MAX aggregation and
+    weight multiply are element-wise too.  ``normalized`` passes in
+    :func:`batch_family_normalized` of ``scores`` when the caller already
+    holds it.
+    """
+    if normalized is None:
+        normalized = batch_family_normalized(scores, config)
     utility = normalized[0]
     for column in normalized[1:]:
         utility = np.maximum(utility, column)

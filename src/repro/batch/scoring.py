@@ -61,7 +61,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ..core.distance import weighted_points_emd
-from ..core.generator import RMSetGenerator
 from ..core.gmm import gmm_select
 from ..core.interestingness import (
     CriterionScores,
@@ -74,6 +73,7 @@ from ..core.utility import (
     SeenMaps,
     UtilityAggregation,
     UtilityConfig,
+    candidate_weight,
     dimension_weights,
 )
 from ..model.operations import Operation
@@ -82,7 +82,8 @@ from ..resilience.deadline import check_deadline
 from ..resilience.gate import under_pressure
 from .kernel import FamilyScores, batch_family_dw, batch_family_scores
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: index builds on core
+if TYPE_CHECKING:  # pragma: no cover - import cycles with core and index
+    from ..core.generator import RMSetGenerator
     from ..core.recommend import ScoredOperation
     from ..index.cubes import CandidateCube, ContainmentFamily
     from ..index.facade import NeighborhoodContext
@@ -375,14 +376,13 @@ class FamilyBatchScorer:
 
     # -- per-spec weights (constant across a family's candidates) -----------
     def _spec_weight(self, spec: RatingMapSpec) -> float:
-        weight = (
-            self._dim_weights[spec.dimension]
-            if self._utility.use_dimension_weights
-            else 1.0
+        return candidate_weight(
+            spec.dimension,
+            (spec.side, spec.attribute),
+            self._seen,
+            self._utility,
+            self._dim_weights,
         )
-        if self._utility.use_attribute_weights:
-            weight *= self._seen.attribute_weight((spec.side, spec.attribute))
-        return weight
 
     # -- block scoring -------------------------------------------------------
     def score_block(

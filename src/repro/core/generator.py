@@ -13,6 +13,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..batch.scoring import supports_batch
 from ..exceptions import ConfigurationError
 from ..model.groups import RatingGroup, SelectionCriteria
 from ..obs import span as obs_span
@@ -137,6 +138,7 @@ class RMSetGenerator:
                 self._scorer,
                 n_phases=config.n_phases,
                 shuffle_seed=config.shuffle_seed,
+                kernel=supports_batch(config),
             )
             if config.diversity_only:
                 # keep every candidate: the selector alone decides

@@ -15,17 +15,25 @@ Three pruners plus a combiner:
   the best arm or rejects the worst, following a budget schedule that
   resolves all arms by the final phase.
 * :class:`CombinedPruner` — CI then MAB, the full SubDEx configuration.
+
+Pruners read a :class:`~repro.core.phases.PhaseSnapshot`'s arrays, so each
+phase's decision is a few vector operations over the active specs: the CI
+bounds for every map at once, and SAR's argmax/argmin over the active
+means.  Ties keep their scalar-era order: the CI ranking breaks equal upper
+bounds by spec order, SAR breaks equal means by ``str(spec)``, and each
+pruner reports its drops in decision order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Protocol, Sequence
+from typing import Hashable, Protocol, Sequence
+
+import numpy as np
 
 from ..stats.bandits import SuccessiveAcceptsRejects
 from ..stats.hoeffding import serfling_epsilon
-from ..stats.intervals import ConfidenceInterval, combine_max_intervals
 from .phases import PhaseSnapshot
 from .rating_maps import RatingMapSpec
 
@@ -88,41 +96,41 @@ class ConfidenceIntervalPruner:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         self._delta = delta
         self._k_prime = 1
+        self._rank: dict[Hashable, int] = {}
 
     def begin(self, specs: Sequence[RatingMapSpec], k_prime: int) -> None:
         self._k_prime = max(1, k_prime)
+        self._rank = {spec: r for r, spec in enumerate(sorted(specs))}
 
-    def map_interval(
-        self, candidate, epsilon: float
-    ) -> ConfidenceInterval:
-        """One combined, weighted interval for a scored candidate."""
-        criterion_intervals = [
-            ConfidenceInterval.around(value, epsilon)
-            for value in candidate.normalized.values()
-        ]
-        combined = combine_max_intervals(criterion_intervals)
-        return combined.scaled(candidate.weight)
+    def intervals(self, snapshot: PhaseSnapshot) -> tuple[np.ndarray, np.ndarray]:
+        """Every map's combined, weighted interval as ``(lo, hi)`` arrays.
 
-    def prune(self, snapshot: PhaseSnapshot) -> set[RatingMapSpec]:
+        Per criterion ``[max(0, x − ε), min(1, x + ε)]``; criteria whose
+        interval lies entirely below another's cannot realise the max and
+        drop out, which leaves ``[max lo, max hi]`` (the criterion with the
+        largest lower bound is never dominated) — the rule of
+        :func:`~repro.stats.intervals.combine_max_intervals`.  ``fmax`` and
+        ``fmin`` keep Python's ``max``/``min`` answer should a value be NaN.
+        """
         epsilon = serfling_epsilon(
             snapshot.rows_seen, snapshot.n_total, self._delta
         )
-        intervals = {
-            spec: self.map_interval(candidate, epsilon)
-            for spec, candidate in snapshot.scores.items()
-        }
-        if len(intervals) <= self._k_prime:
+        values = snapshot.normalized
+        hi = np.fmin(values + epsilon, 1.0).max(axis=1)
+        lo = np.minimum(np.fmax(values - epsilon, 0.0).max(axis=1), hi)
+        return lo * snapshot.weights, hi * snapshot.weights
+
+    def prune(self, snapshot: PhaseSnapshot) -> set[RatingMapSpec]:
+        specs = snapshot.specs
+        if len(specs) <= self._k_prime:
             return set()
-        by_upper = sorted(
-            intervals, key=lambda s: (-intervals[s].hi, s)
-        )
-        top = by_upper[: self._k_prime]
-        lowest_lower = min(intervals[s].lo for s in top)
-        return {
-            spec
-            for spec in by_upper[self._k_prime :]
-            if intervals[spec].hi < lowest_lower
-        }
+        lo, hi = self.intervals(snapshot)
+        # sorted by (-hi, spec): equal upper bounds rank in spec order
+        ranks = np.array([self._rank[spec] for spec in specs], dtype=np.int64)
+        by_upper = np.lexsort((ranks, -hi))
+        lowest_lower = lo[by_upper[: self._k_prime]].min()
+        tail = by_upper[self._k_prime :]
+        return {specs[i] for i in tail[hi[tail] < lowest_lower]}
 
 
 class MABPruner:
@@ -145,7 +153,7 @@ class MABPruner:
     def begin(self, specs: Sequence[RatingMapSpec], k_prime: int) -> None:
         self._n_arms = len(specs)
         self._k_prime = max(1, k_prime)
-        self._sar = SuccessiveAcceptsRejects(list(specs), self._k_prime)
+        self._sar = SuccessiveAcceptsRejects(specs, self._k_prime)
 
     def _target_active(self, phase: int, n_phases: int) -> int:
         """Geometric schedule from n_arms (phase 0) to k' (final phase)."""
@@ -156,27 +164,26 @@ class MABPruner:
         return max(self._k_prime, int(math.ceil(target)))
 
     def prune(self, snapshot: PhaseSnapshot) -> set[RatingMapSpec]:
-        if self._sar is None:
+        sar = self._sar
+        if sar is None:
             raise RuntimeError("begin() must be called before prune()")
+        means = np.zeros(len(sar.arms))
+        present = np.zeros(len(sar.arms), dtype=bool)
+        for spec, dw in zip(snapshot.specs, snapshot.dw):
+            i = sar.index_of(spec)
+            if i is not None:
+                means[i] = dw
+                present[i] = True
         # arms removed by another scheme (e.g. CI in CombinedPruner) vanish
         # from the snapshot; retire them so SAR never accepts a ghost
-        for arm in self._sar.active:
-            if arm not in snapshot.scores:
-                self._sar.force_reject(arm)
-        means = {
-            spec: candidate.dw_utility
-            for spec, candidate in snapshot.scores.items()
-        }
-        target = self._target_active(snapshot.phase, snapshot.n_phases)
+        for i in np.flatnonzero(sar.active_mask() & ~present):
+            sar.force_reject(sar.arms[i])
+        target = max(
+            self._target_active(snapshot.phase, snapshot.n_phases), self._k_prime
+        )
         dropped: set[RatingMapSpec] = set()
-        while (
-            not self._sar.finished
-            and len(self._sar.surviving()) > max(target, self._k_prime)
-        ):
-            decision = self._sar.step(means)
-            if decision is None:
-                break
-            verdict, arm = decision
+        while not sar.finished and sar.n_surviving() > target:
+            verdict, arm = sar.step_array(means)
             if verdict == "reject":
                 dropped.add(arm)
         return dropped
@@ -196,18 +203,7 @@ class CombinedPruner:
     def prune(self, snapshot: PhaseSnapshot) -> set[RatingMapSpec]:
         dropped = self._ci.prune(snapshot)
         if dropped:
-            remaining = {
-                spec: candidate
-                for spec, candidate in snapshot.scores.items()
-                if spec not in dropped
-            }
-            snapshot = PhaseSnapshot(
-                snapshot.phase,
-                snapshot.n_phases,
-                snapshot.rows_seen,
-                snapshot.n_total,
-                remaining,
-            )
+            snapshot = snapshot.without(dropped)
         return dropped | self._mab.prune(snapshot)
 
 

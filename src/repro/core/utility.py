@@ -47,6 +47,7 @@ __all__ = [
     "normalize_criteria",
     "aggregate_utility",
     "score_candidate_set",
+    "candidate_weight",
 ]
 
 K = TypeVar("K", bound=Hashable)
@@ -299,10 +300,31 @@ def score_candidate_set(
     out: dict[K, ScoredCandidate] = {}
     for key, criteria in normalized.items():
         utility = aggregate_utility(criteria, config)
-        weight = (
-            weights[dimension_of[key]] if config.use_dimension_weights else 1.0
+        weight = candidate_weight(
+            dimension_of[key],
+            None if attribute_of is None else attribute_of[key],
+            seen,
+            config,
+            weights,
         )
-        if config.use_attribute_weights and attribute_of is not None:
-            weight *= seen.attribute_weight(attribute_of[key])
         out[key] = ScoredCandidate(raw[key], criteria, utility, weight)
     return out
+
+
+def candidate_weight(
+    dimension: str,
+    attribute: Hashable | None,
+    seen: SeenMaps,
+    config: UtilityConfig,
+    weights: Mapping[str, float],
+) -> float:
+    """A candidate map's multiplicative DW weight.
+
+    The Eq.-(1) weight of its rating ``dimension`` (``weights`` is
+    :func:`dimension_weights` of ``seen``) times, when enabled and an
+    ``attribute`` key is given, its grouping attribute's weight.
+    """
+    weight = weights[dimension] if config.use_dimension_weights else 1.0
+    if config.use_attribute_weights and attribute is not None:
+        weight *= seen.attribute_weight(attribute)
+    return weight

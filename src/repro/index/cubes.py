@@ -46,7 +46,7 @@ import numpy as np
 from ..concurrency import KeyedSingleFlight
 from ..core.rating_maps import RatingMapSpec
 from ..db.column import MultiValuedColumn
-from ..db.groupby import build_grouping
+from ..db.groupby import build_grouping, score_buckets, shifted_codes
 from ..db.types import ColumnType
 from ..model.database import Side, SubjectiveDatabase
 
@@ -178,7 +178,7 @@ class StepSlices:
             return cached
         grouping = self._db.aligned_grouping(side, attribute)
         built = (
-            _narrow(grouping.codes[self._rows] + 1, grouping.n_groups),
+            shifted_codes(grouping.codes[self._rows], grouping.n_groups),
             grouping.n_groups,
             grouping.labels,
         )
@@ -190,12 +190,8 @@ class StepSlices:
             cached = self._buckets.get(dimension)
         if cached is not None:
             return cached
-        scores = self._db.dimension_scores(dimension)[self._rows]
-        scale = self._scale
-        with np.errstate(invalid="ignore"):
-            valid = np.isfinite(scores) & (scores >= 1) & (scores <= scale)
-        built = _narrow(
-            np.where(valid, scores, scale + 1.0).astype(np.int64) - 1, scale
+        built = score_buckets(
+            self._db.dimension_scores(dimension)[self._rows], self._scale
         )
         with self._lock:
             return self._buckets.setdefault(dimension, built)
@@ -453,11 +449,6 @@ class StepSlices:
         """``(n_values, n_groups, scale)`` candidate histograms of one spec."""
         joint = self.pair_hist(axis_key, (spec.side, spec.attribute), spec.dimension)
         return joint[1:, 1:, : self._scale]
-
-
-def _narrow(values: np.ndarray, top: int) -> np.ndarray:
-    """``values`` (all in ``0..top``) in the narrowest unsigned dtype."""
-    return values.astype(np.min_scalar_type(top))
 
 
 def _attr_order(key: _AttrKey) -> tuple[str, str]:

@@ -17,39 +17,70 @@ and the tests can drive it directly.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
+
+import numpy as np
 
 __all__ = ["SuccessiveAcceptsRejects"]
 
 Arm = Hashable
 
+_ACTIVE, _ACCEPTED, _REJECTED = 0, 1, 2
+
 
 class SuccessiveAcceptsRejects:
     """Stateful accept/reject top-k identification.
 
+    Arms are numbered in the order given; :meth:`step_array` takes the
+    means as an array in that order, and :meth:`step` adapts a mapping.
+    Ties between equal means are broken by ``str(arm)`` (the higher string
+    ranks higher), with ranks computed once here.
+
     Parameters
     ----------
     arms:
-        All arm identifiers.
+        All arm identifiers (any iterable; read once).
     k:
         Target number of accepted arms (``k' = k × l`` in the paper).
     """
 
-    def __init__(self, arms: Sequence[Arm], k: int) -> None:
+    def __init__(self, arms: Iterable[Arm], k: int) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        self._active: list[Arm] = list(dict.fromkeys(arms))
-        if len(self._active) != len(list(arms)):
+        arms = list(arms)
+        self._index: dict[Arm, int] = {arm: i for i, arm in enumerate(arms)}
+        if len(self._index) != len(arms):
             raise ValueError("duplicate arm identifiers")
-        self._k = min(k, len(self._active))
+        self._arms: tuple[Arm, ...] = tuple(arms)
+        # dense ranks of str(arm): equal strings share a rank, so a tie
+        # on (mean, str) falls back to arm order as a stable sort would
+        labels = [str(arm) for arm in arms]
+        order = {label: r for r, label in enumerate(sorted(set(labels)))}
+        self._str_rank = np.array([order[label] for label in labels], dtype=np.int64)
+        self._state = np.full(len(arms), _ACTIVE, dtype=np.int8)
+        self._n_active = len(arms)
+        self._k = min(k, len(arms))
         self._accepted: list[Arm] = []
         self._rejected: list[Arm] = []
 
     # -- state ----------------------------------------------------------------
     @property
+    def arms(self) -> tuple[Arm, ...]:
+        """Every arm, in the order :meth:`step_array` expects its means."""
+        return self._arms
+
+    def index_of(self, arm: Arm) -> int | None:
+        """The arm's position in :attr:`arms` (``None`` if unknown)."""
+        return self._index.get(arm)
+
+    def active_mask(self) -> np.ndarray:
+        """Boolean mask over :attr:`arms` of the arms still being sampled."""
+        return self._state == _ACTIVE
+
+    @property
     def active(self) -> tuple[Arm, ...]:
         """Arms still being sampled."""
-        return tuple(self._active)
+        return tuple(self._arms[i] for i in np.flatnonzero(self.active_mask()))
 
     @property
     def accepted(self) -> tuple[Arm, ...]:
@@ -68,22 +99,33 @@ class SuccessiveAcceptsRejects:
     @property
     def finished(self) -> bool:
         """True when the top-k is fully determined."""
-        return self.remaining_slots == 0 or len(self._active) <= self.remaining_slots
+        return self.remaining_slots == 0 or self._n_active <= self.remaining_slots
 
     def surviving(self) -> tuple[Arm, ...]:
         """Accepted arms plus still-active arms (the non-pruned set)."""
-        return tuple(self._accepted) + tuple(self._active)
+        return tuple(self._accepted) + self.active
+
+    def n_surviving(self) -> int:
+        """``len(surviving())`` without building the tuple."""
+        return len(self._accepted) + self._n_active
 
     def topk(self, means: Mapping[Arm, float]) -> tuple[Arm, ...]:
         """The final top-k: accepted arms padded with the best active ones."""
-        order = sorted(self._active, key=lambda a: means.get(a, 0.0), reverse=True)
+        order = sorted(self.active, key=lambda a: means.get(a, 0.0), reverse=True)
         return tuple(self._accepted) + tuple(order[: self.remaining_slots])
+
+    def _retire(self, i: int, state: int) -> Arm:
+        arm = self._arms[i]
+        self._state[i] = state
+        self._n_active -= 1
+        (self._accepted if state == _ACCEPTED else self._rejected).append(arm)
+        return arm
 
     def force_reject(self, arm: Arm) -> None:
         """Remove an active arm unconditionally (pruned by another scheme)."""
-        if arm in self._active:
-            self._active.remove(arm)
-            self._rejected.append(arm)
+        i = self._index.get(arm)
+        if i is not None and self._state[i] == _ACTIVE:
+            self._retire(i, _REJECTED)
 
     # -- the phase-end decision -------------------------------------------
     def step(self, means: Mapping[Arm, float]) -> tuple[str, Arm] | None:
@@ -95,26 +137,33 @@ class SuccessiveAcceptsRejects:
         """
         if self.finished:
             return None
-        ranked = sorted(
-            self._active, key=lambda a: (means.get(a, 0.0), str(a)), reverse=True
-        )
+        values = np.array([means.get(arm, 0.0) for arm in self._arms], dtype=np.float64)
+        return self.step_array(values)
+
+    def step_array(self, means: np.ndarray) -> tuple[str, Arm] | None:
+        """:meth:`step` with ``means[i]`` the mean of ``arms[i]``.
+
+        With the active arms ranked by (mean, ``str(arm)``) descending:
+        Δ1 = highest − (slots+1)-th, Δ2 = slots-th − lowest, where slots
+        is the number of open top-k places; accept the highest arm if
+        Δ1 > Δ2, else reject the lowest.
+        """
+        if self.finished:
+            return None
+        active = np.flatnonzero(self._state == _ACTIVE)
+        values = means[active]
+        ranked = np.sort(values)[::-1]  # the ranking's means, best first
         slots = self.remaining_slots
-        highest = means.get(ranked[0], 0.0)
-        lowest = means.get(ranked[-1], 0.0)
-        # boundary means among the *active* ranking relative to open slots
-        kth = means.get(ranked[slots - 1], 0.0)
-        kplus1 = means.get(ranked[slots], 0.0) if slots < len(ranked) else lowest
-        delta1 = highest - kplus1
-        delta2 = kth - lowest
-        if delta1 > delta2:
-            arm = ranked[0]
-            self._active.remove(arm)
-            self._accepted.append(arm)
-            return ("accept", arm)
-        arm = ranked[-1]
-        self._active.remove(arm)
-        self._rejected.append(arm)
-        return ("reject", arm)
+        highest, lowest = ranked[0], ranked[-1]
+        kth = ranked[slots - 1]
+        kplus1 = ranked[slots] if slots < len(ranked) else lowest
+        if highest - kplus1 > kth - lowest:
+            tied = active[values == highest]
+            ranks = self._str_rank[tied]
+            return ("accept", self._retire(int(tied[ranks == ranks.max()][0]), _ACCEPTED))
+        tied = active[values == lowest]
+        ranks = self._str_rank[tied]
+        return ("reject", self._retire(int(tied[ranks == ranks.min()][-1]), _REJECTED))
 
     def run_to_completion(self, means: Mapping[Arm, float]) -> tuple[Arm, ...]:
         """Apply :meth:`step` until finished with fixed means; return top-k.

@@ -21,6 +21,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SuccessiveAcceptsRejects(["a", "a"], k=1)
 
+    def test_one_shot_iterable_of_arms(self):
+        sar = SuccessiveAcceptsRejects((arm for arm in "abc"), 2)
+        assert sar.active == ("a", "b", "c")
+        assert sar.remaining_slots == 2
+
 
 class TestStep:
     def test_accepts_clear_winner(self):
