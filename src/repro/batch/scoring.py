@@ -33,7 +33,7 @@ the route from the operation's shape — no configuration involved:
    *exact* utility needs only the GMM selection over its pool maps'
    profiles, not the materialised preview: profiles (subgroup means and
    sizes) come straight from the count tensors, and the same
-   ``gmm_select``/``weighted_points_emd`` the oracle uses picks the same
+   ``gmm_select``/PROFILE EMD the oracle uses picks the same
    maps bit for bit.  The full preview — through the ordinary
    ``generate_from_counts`` pipeline with the kernel's raw scores
    injected, byte-identical to the per-candidate oracle — is materialised
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ..core.distance import weighted_points_emd
+from ..core.distance import cdf_emd, points_cdf
 from ..core.gmm import gmm_select
 from ..core.interestingness import (
     CriterionScores,
@@ -349,6 +349,7 @@ class FamilyBatchScorer:
         self._dim_weights = dimension_weights(
             seen.dimension_history(), seen.dimensions
         )
+        self._spec_weights: "dict[RatingMapSpec, float]" = {}
         self._top: list[float] = []  # min-heap of the o best exact utilities
         self._families: "dict[int, PreparedFamily | None]" = {}
         self.stats = {
@@ -376,13 +377,18 @@ class FamilyBatchScorer:
 
     # -- per-spec weights (constant across a family's candidates) -----------
     def _spec_weight(self, spec: RatingMapSpec) -> float:
-        return candidate_weight(
-            spec.dimension,
-            (spec.side, spec.attribute),
-            self._seen,
-            self._utility,
-            self._dim_weights,
-        )
+        # ``seen`` is fixed for the scorer's one request, so each spec's
+        # weight is computed once however many candidates share it
+        weight = self._spec_weights.get(spec)
+        if weight is None:
+            weight = self._spec_weights[spec] = candidate_weight(
+                spec.dimension,
+                (spec.side, spec.attribute),
+                self._seen,
+                self._utility,
+                self._dim_weights,
+            )
+        return weight
 
     # -- block scoring -------------------------------------------------------
     def score_block(
@@ -571,12 +577,12 @@ class FamilyBatchScorer:
         return prepared
 
     # -- exact utility without materialisation -------------------------------
-    def _pool_profile(
+    def _pool_cdf(
         self, prepared: "PreparedFamily | PreparedRows", c: int, j: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The PROFILE-distance point set of one pool map, from counts.
+        """The PROFILE-distance CDF table of one pool map, from counts.
 
-        Bitwise-identical to ``distance._profile`` of the materialised
+        Bitwise-identical to ``distance._profile_cdf`` of the materialised
         :class:`~repro.core.rating_maps.RatingMap`: subgroups are the
         non-empty histogram rows in label order, means reduce each row
         with the same last-axis pairwise tree ``histogram_mean`` uses, and
@@ -591,7 +597,7 @@ class FamilyBatchScorer:
         weights = totals[nonzero]
         values = np.arange(1, counts.shape[1] + 1, dtype=np.float64)
         means = (values * rows).sum(axis=1) / weights
-        return means, weights
+        return points_cdf(means, weights)
 
     def evaluate_candidate(
         self, prepared: "PreparedFamily | PreparedRows", c: int
@@ -615,13 +621,11 @@ class FamilyBatchScorer:
         elif k >= len(pool):
             chosen = list(pool)
         else:
-            profiles = [self._pool_profile(prepared, c, j) for j in pool]
+            tables = [self._pool_cdf(prepared, c, j) for j in pool]
             span = float(prepared.scale - 1)
 
             def dist(ia: int, ib: int) -> float:
-                xa, wa = profiles[ia]
-                xb, wb = profiles[ib]
-                return weighted_points_emd(xa, wa, xb, wb, span)
+                return cdf_emd(tables[ia], tables[ib], span)
 
             chosen = [
                 pool[i]

@@ -42,6 +42,8 @@ __all__ = [
     "emd",
     "total_variation",
     "kl_divergence",
+    "points_cdf",
+    "cdf_emd",
     "weighted_points_emd",
     "transportation_cost",
     "map_distance",
@@ -85,6 +87,43 @@ def kl_divergence(
     return float((pp * np.log(pp / qq)).sum())
 
 
+def points_cdf(xs: np.ndarray, wx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step CDF of one weighted point set, as ``(breaks, cdf)``.
+
+    ``breaks`` are the distinct points in ascending order and ``cdf[i]`` is
+    the normalised weight at or below ``breaks[i - 1]`` (``cdf[0] = 0``).
+    Each entry is the same masked sum, over points in input order, that a
+    direct evaluation at that breakpoint takes, so :func:`cdf_emd` over two
+    tables is bit-identical to evaluating both CDFs on the merged grid.
+    """
+    xs = np.asarray(xs)
+    wx = np.asarray(wx, dtype=np.float64)
+    px = wx / wx.sum()
+    breaks = np.unique(xs)
+    return breaks, np.array([0.0] + [px[xs <= g].sum() for g in breaks])
+
+
+def cdf_emd(
+    a: tuple[np.ndarray, np.ndarray],
+    b: tuple[np.ndarray, np.ndarray],
+    span: float,
+) -> float:
+    """EMD between two :func:`points_cdf` tables, normalised by ``span``.
+
+    The integral of the absolute CDF difference, exact on the merged
+    breakpoint grid; each CDF is looked up on the grid, not re-summed.
+    """
+    breaks_a, cdf_a = a
+    breaks_b, cdf_b = b
+    if len(breaks_a) == 0 or len(breaks_b) == 0:
+        return 0.0 if len(breaks_a) == len(breaks_b) else 1.0
+    grid = np.unique(np.concatenate([breaks_a, breaks_b]))
+    at_a = cdf_a[np.searchsorted(breaks_a, grid, side="right")]
+    at_b = cdf_b[np.searchsorted(breaks_b, grid, side="right")]
+    area = float(np.abs(at_a[:-1] - at_b[:-1]).dot(np.diff(grid)))
+    return area / span if span > 0 else 0.0
+
+
 def weighted_points_emd(
     xs: np.ndarray,
     wx: np.ndarray,
@@ -96,20 +135,10 @@ def weighted_points_emd(
 
     Weights are normalised to sum to 1 on each side; the EMD is then the
     integral of the absolute CDF difference, computed exactly on the merged
-    breakpoint grid.
+    breakpoint grid.  Callers comparing one set against many build its
+    :func:`points_cdf` once and call :func:`cdf_emd`.
     """
-    if len(xs) == 0 or len(ys) == 0:
-        return 0.0 if len(xs) == len(ys) else 1.0
-    wx = np.asarray(wx, dtype=np.float64)
-    wy = np.asarray(wy, dtype=np.float64)
-    px = wx / wx.sum()
-    py = wy / wy.sum()
-    grid = np.unique(np.concatenate([xs, ys]))
-    cdf_x = np.array([px[xs <= g].sum() for g in grid])
-    cdf_y = np.array([py[ys <= g].sum() for g in grid])
-    gaps = np.diff(grid)
-    area = float(np.abs(cdf_x[:-1] - cdf_y[:-1]).dot(gaps))
-    return area / span if span > 0 else 0.0
+    return cdf_emd(points_cdf(xs, wx), points_cdf(ys, wy), span)
 
 
 def transportation_cost(
@@ -140,8 +169,9 @@ def transportation_cost(
     return float(result.fun)
 
 
-def _profile(rating_map: "RatingMap") -> tuple[np.ndarray, np.ndarray]:
-    cached = getattr(rating_map, "_profile_cache", None)
+def _profile_cdf(rating_map: "RatingMap") -> tuple[np.ndarray, np.ndarray]:
+    """The CDF table of the map's count-weighted subgroup means (cached)."""
+    cached = getattr(rating_map, "_profile_cdf", None)
     if cached is not None:
         return cached
     means = np.array([sg.distribution.mean() for sg in rating_map.subgroups])
@@ -149,9 +179,9 @@ def _profile(rating_map: "RatingMap") -> tuple[np.ndarray, np.ndarray]:
         [sg.distribution.total for sg in rating_map.subgroups], dtype=np.float64
     )
     keep = np.isfinite(means) & (weights > 0)
-    profile = (means[keep], weights[keep])
-    rating_map._profile_cache = profile
-    return profile
+    table = points_cdf(means[keep], weights[keep])
+    rating_map._profile_cdf = table
+    return table
 
 
 def map_distance(
@@ -163,10 +193,7 @@ def map_distance(
     if method is MapDistanceMethod.POOLED:
         return emd(a.pooled(), b.pooled())
     if method is MapDistanceMethod.PROFILE:
-        xs, wx = _profile(a)
-        ys, wy = _profile(b)
-        span = float(a.scale - 1)
-        return weighted_points_emd(xs, wx, ys, wy, span)
+        return cdf_emd(_profile_cdf(a), _profile_cdf(b), float(a.scale - 1))
     if method is MapDistanceMethod.NESTED:
         supply = np.array(
             [sg.distribution.total for sg in a.subgroups], dtype=np.float64

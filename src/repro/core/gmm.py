@@ -55,8 +55,11 @@ def gmm_select(
 
     chosen_idx = [seed_index]
     # min distance from each candidate to the chosen set, updated incrementally
-    min_dist = [distance(c, candidates[seed_index]) for c in candidates]
-    min_dist[seed_index] = float("-inf")
+    seed = candidates[seed_index]
+    min_dist = [
+        float("-inf") if i == seed_index else distance(c, seed)
+        for i, c in enumerate(candidates)
+    ]
     for __ in range(k - 1):
         best = max(range(n), key=lambda i: min_dist[i])
         chosen_idx.append(best)

@@ -89,7 +89,7 @@ class RatingMap:
         self._subgroups = tuple(sg for sg in subgroups if not sg.distribution.is_empty)
         self._group_size = int(group_size)
         self._pooled: RatingDistribution | None = None
-        self._profile_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._profile_cdf: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def spec(self) -> RatingMapSpec:

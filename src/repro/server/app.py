@@ -865,10 +865,25 @@ class _PayloadTooLarge(ReproError):
     """Request body exceeds the configured limit (HTTP 413)."""
 
 
+# codes for the errors the stdlib raises before a request reaches a route
+_WIRE_ERROR_CODES = {
+    400: "malformed_request",
+    414: "uri_too_long",
+    431: "headers_too_large",
+    501: "method_not_implemented",
+    505: "http_version_not_supported",
+}
+# statuses whose responses carry no body (RFC 7230 §3.3, RFC 7231 §6.3.6)
+_BODYLESS_STATUSES = (204, 205, 304)
+
+
 class SubDExRequestHandler(BaseHTTPRequestHandler):
     """Routes requests to handler methods; owns nothing but the wire."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a small response never waits
+    # out the client's delayed ACK behind Nagle's algorithm
+    disable_nagle_algorithm = True
     server: "SubDExServer"  # narrowed for type checkers
 
     # -- plumbing -----------------------------------------------------------
@@ -1119,12 +1134,37 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
             metrics.record_event("refinements_lost")
         return error_envelope(error)
 
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Stdlib-raised errors as the typed JSON envelope, not an HTML page.
+
+        The stdlib calls this for a malformed request line (400), an
+        oversized URI (414) or header block (431), an unsupported HTTP
+        version (505) and methods without a ``do_*`` handler (501).  Its
+        semantics stay: the connection closes, and ``HEAD`` or a bodyless
+        status gets headers only.
+        """
+        if message is None:
+            message = self.responses.get(code, ("",))[0]
+        self.log_error("code %d, message %s", code, message)
+        if self.command is None and self.request_version == "HTTP/0.9":
+            # the request line never parsed, so there is no client version
+            # to honour: answer with a status line rather than a bare body
+            self.request_version = self.protocol_version
+        self._send(
+            code,
+            error_payload(_WIRE_ERROR_CODES.get(code, f"http_{code}"), message),
+            {"Connection": "close"},
+        )
+
     def _send(
         self,
         status: int,
         payload: dict[str, Any] | str,
         headers: Mapping[str, str] | None = None,
     ) -> None:
+        """Write the status line, headers and body with one socket send."""
         if isinstance(payload, str):  # Prometheus text exposition
             body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
@@ -1134,12 +1174,22 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
         remaining = dict(headers or {})
         content_type = remaining.pop("Content-Type", content_type)
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        if status < 200 or status in _BODYLESS_STATUSES:
+            body = b""
+        else:
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
         for name, value in remaining.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.command == "HEAD":
+            body = b""
+        if self.request_version == "HTTP/0.9":  # no status line or headers
+            self.wfile.write(body)
+            return
+        # end_headers() would flush the head on its own and leave the body
+        # for a second small segment; one buffer leaves as one send
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _json_body(self) -> dict[str, Any]:
         length_header = self.headers.get("Content-Length")

@@ -5,9 +5,12 @@ session lists) are wired through the front."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -69,6 +72,24 @@ def test_health_reports_cluster(single, sharded):
     cluster = sharded.health()["cluster"]
     assert cluster["workers"] == 2 and cluster["up"] == 2
     assert "cluster" not in single.health()
+
+
+def test_front_keepalive_reads_skip_the_delayed_ack(sharded_server):
+    # the N-worker front shares the handler: no 40 ms delayed-ACK stall
+    host, port = sharded_server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    samples = []
+    try:
+        for __ in range(20):
+            start = time.perf_counter()
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            response.read()
+            samples.append((time.perf_counter() - start) * 1000.0)
+            assert response.status == 200
+    finally:
+        connection.close()
+    assert statistics.median(samples) < 10.0
 
 
 def test_workers_endpoint(single, sharded):
