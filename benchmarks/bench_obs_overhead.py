@@ -64,14 +64,15 @@ def _workload(database):
 def _collect_overhead(database):
     """Fleet trace collection cost on a live 2-worker server.
 
-    The same client workload (session step + maps + one scatter scan) is
-    timed with fleet collection off vs on — tail sampling at 5%, so the
+    The same client workload (session step + maps + one stateless scan)
+    is timed with fleet collection off vs on — tail sampling at 5%, so the
     measured cost is fragment shipping + reassembly + sampling, not
-    record storage.  Returns (samples, stitched, counters).
+    record storage.  Returns (samples, stitched, counters, probe), where
+    ``probe`` is the burn-pinned scan's (serving worker, trace id).
     """
     server = build_server(
         {"yelp": lambda: SubDEx(database, SubDExConfig(use_index=True))},
-        config=ServerConfig(workers=2, shards=4, trace_sample_rate=0.05),
+        config=ServerConfig(workers=2, trace_sample_rate=0.05),
     )
     threading.Thread(target=server.serve_forever, daemon=True).start()
     collector = server.collector
@@ -88,8 +89,10 @@ def _collect_overhead(database):
             def client_workload():
                 session = client.create_session()
                 client.request("GET", f"/sessions/{session.id}/maps")
-                client.cluster_maps()
+                scan = client.cluster_maps()
+                scan_trace = client.last_trace_id
                 session.close()
+                return scan["worker"], scan_trace
 
             client_workload()  # warm workers, sockets, caches
             samples = {"collect-off": [], "collect-on": []}
@@ -106,12 +109,12 @@ def _collect_overhead(database):
             # traces bypass the 5% sampling and must stitch completely
             set_collect(True)
             server.trace_sampler.pin_burn("bench")
-            client_workload()
+            probe = client_workload()
             stitched = [r for r in collector.search() if r["workers"]]
             counters = collector.counters()
     finally:
         server.graceful_shutdown(drain_seconds=5.0)
-    return samples, stitched, counters
+    return samples, stitched, counters, probe
 
 
 def test_obs_overhead(benchmark, tmp_path_factory):
@@ -177,7 +180,9 @@ def test_obs_overhead(benchmark, tmp_path_factory):
         return samples
 
     samples = benchmark.pedantic(run, rounds=1, iterations=1)
-    collect_samples, stitched, collect_counters = _collect_overhead(database)
+    collect_samples, stitched, collect_counters, probe = _collect_overhead(
+        database
+    )
     means = {
         name: sum(times) / len(times) for name, times in samples.items()
     }
@@ -284,17 +289,20 @@ def test_obs_overhead(benchmark, tmp_path_factory):
             f"{name} overhead too high: best {bests[name]:.3f}s vs "
             f"off={off:.3f}s (budget {budget:.3f}s)"
         )
-    # fleet collection: fragments shipped from both workers, at least one
-    # fully stitched tree, and the same ≤5% overhead bar
+    # fleet collection: fragments shipped, the burn-pinned scan stitched
+    # into one complete tree, and the same ≤5% overhead bar
     assert collect_counters["fragments_received"] > 0, (
         "collect-on rounds shipped no worker fragments"
     )
     assert stitched, "burn-pinned probe left no stitched trace"
-    scatters = [r for r in stitched if r["route"] == "POST /cluster/maps"]
-    assert scatters, "no stitched scatter trace collected"
-    probe = scatters[0]
-    assert probe["partial"] is False
-    assert sorted(w["worker"] for w in probe["workers"]) == [0, 1]
+    probe_worker, probe_trace = probe
+    scans = [r for r in stitched if r["trace_id"] == probe_trace]
+    assert scans, "the burn-pinned scan left no stitched trace"
+    (scan,) = scans
+    assert scan["route"] == "POST /cluster/maps"
+    assert scan["partial"] is False
+    # one scan, one worker: its only fragment is the serving worker's
+    assert [w["worker"] for w in scan["workers"]] == [probe_worker]
     collect_budget = collect_off * _RELATIVE_SLACK + _ABSOLUTE_SLACK_S
     assert collect_bests["collect-on"] <= collect_budget, (
         f"fleet collection overhead too high: best "

@@ -12,8 +12,8 @@ The sharded variant (``--workers 1 2 4`` from the CLI, or the
 ``server_throughput_sharded`` pytest bench) repeats the same workload
 against ``repro.cluster`` deployments with increasing worker counts and
 reports per-count throughput, the workers=2 scaling ratio, and a
-portable consistency metric asserting the sharded scatter/gather answers
-are byte-identical with the single-process server's.
+portable consistency metric asserting the cluster's ``POST /cluster/maps``
+answers are byte-identical with the single-process server's.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def _run_load(
 
     with SubDExClient(server.url) as client:
         metrics = client.metrics()
-        # the consistency probe: a full scatter/gather scan whose maps
-        # and group size must not depend on the deployment shape
+        # the consistency probe: a stateless root scan whose maps and
+        # group size must not depend on the deployment shape
         probe = client.cluster_maps()
     snapshot = {"maps": probe["maps"], "group_size": probe["group_size"]}
     if workers:
@@ -213,7 +213,7 @@ def _sweep_report(reference, runs) -> tuple[str, dict, dict]:
 
 
 def _check_sweep(metrics) -> None:
-    # scatter/gather must reproduce the single-process bytes exactly
+    # the cluster's scan must reproduce the single-process bytes exactly
     assert metrics["sharded_consistency"].value == 1.0
     # acceptance: >=1.8x at --workers 2 on a machine that can actually
     # run two scans at once; single-CPU boxes report the ratio only

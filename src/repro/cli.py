@@ -265,8 +265,6 @@ def cmd_serve(args: argparse.Namespace, out=None) -> int:
             load_slo_config(args.slo_config)
         except (OSError, ValueError) as error:
             raise CLIError(f"--slo-config: {error}")
-    if args.shards is not None and args.shards < 1:
-        raise CLIError(f"--shards must be >= 1, got {args.shards}")
     if not 0.0 <= args.trace_sample_rate <= 1.0:
         raise CLIError(
             f"--trace-sample-rate must be in [0, 1], "
@@ -288,7 +286,6 @@ def cmd_serve(args: argparse.Namespace, out=None) -> int:
         trace_max_spans=args.trace_max_spans,
         slow_request_ms=args.slow_request_ms,
         workers=args.workers,
-        shards=args.shards,
         slo_enabled=not args.no_slo,
         slo_config_path=args.slo_config,
     )
@@ -401,15 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--maps", type=int, default=3, help="k")
     p_serve.add_argument("--recommendations", type=int, default=3, help="o")
     p_serve.add_argument("--workers", type=int, default=0,
-                         help="sharded mode: spawn N worker processes with "
-                              "shared-memory dataset partitions (0 = classic "
-                              "single-process serving)")
-    p_serve.add_argument("--shards", type=int, default=None,
-                         help="partition count for scatter/gather scans "
-                              "(default: 4 x workers)")
+                         help="cluster mode: spawn N worker processes over "
+                              "one shared-memory copy of each dataset (0 = "
+                              "classic single-process serving)")
     p_serve.add_argument("--max-sessions", type=int, default=64,
                          help="live-session cap (further creates get 429; "
-                              "per worker in sharded mode)")
+                              "per worker in cluster mode)")
     p_serve.add_argument("--session-ttl", type=float, default=1800.0,
                          help="idle seconds before a session is evicted")
     p_serve.add_argument("--deadline-ms", type=int, default=None,

@@ -1,6 +1,6 @@
-"""Dataset partitioning: shared-memory export/attach + shard assignment.
+"""Dataset export/attach through shared memory.
 
-**Export/attach.**  :func:`share_database` copies a
+:func:`share_database` copies a
 :class:`~repro.model.database.SubjectiveDatabase` into shared-memory
 segments and returns a picklable *manifest*; :func:`attach_database`
 rebuilds the database in another process with the heavy arrays as
@@ -9,25 +9,11 @@ categorical codes (``int32``) travel by segment; small metadata (schemas,
 category lists, multi-valued row sets) travels pickled inside the
 manifest.  The record→entity alignment arrays are exported too, so the
 attaching side skips the per-record id-resolution loops entirely.
-
-**Sharding.**  A :class:`ShardMap` assigns every *reviewer* (and thereby
-every rating record, via the alignment) to one of ``n_shards`` shards.
-Shards partition the record set exactly — scanning each shard and adding
-the per-shard count matrices reproduces a full scan bit-for-bit, which is
-what makes scatter/gather phase scans byte-identical to the
-single-process path (see :mod:`repro.cluster.merge`).  Workers *own*
-shards (``shard % n_workers == worker``) for routing purposes but every
-worker holds the full attached database, so any worker can scan any
-shard — the supervisor exploits this for exact failover when a worker
-dies mid-scatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from ..db.column import (
     CategoricalColumn,
@@ -40,7 +26,6 @@ from ..model.database import Side, SubjectiveDatabase
 from .shm import SegmentRegistry, attach_array, share_array
 
 __all__ = [
-    "ShardMap",
     "attach_database",
     "attach_table",
     "share_database",
@@ -145,36 +130,3 @@ def attach_database(
         alignment=alignment,
     )
 
-
-@dataclass(frozen=True)
-class ShardMap:
-    """Deterministic reviewer→shard assignment for one database.
-
-    Reviewer row ``r`` lands in shard ``r % n_shards`` — balanced, stable
-    across processes, and requiring no data movement.  A rating record's
-    shard is its reviewer's, so one reviewer's records never straddle
-    shards (sessions grouped by reviewer attributes stay shard-local).
-    """
-
-    n_shards: int
-
-    def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-
-    def record_shards(self, database: SubjectiveDatabase) -> np.ndarray:
-        """Per-rating-record shard index (``int64``, length ``n_ratings``)."""
-        user_rows = database.entity_rows_for_ratings(Side.REVIEWER)
-        return user_rows % self.n_shards
-
-    def owned_shards(self, worker: int, n_workers: int) -> tuple[int, ...]:
-        """The shards worker ``worker`` of ``n_workers`` owns by default."""
-        if not 0 <= worker < n_workers:
-            raise ValueError(
-                f"worker must be in [0, {n_workers}), got {worker}"
-            )
-        return tuple(
-            shard
-            for shard in range(self.n_shards)
-            if shard % n_workers == worker
-        )

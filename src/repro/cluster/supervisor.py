@@ -1,4 +1,4 @@
-"""The worker pool: spawn, route, scatter/gather, supervise, drain.
+"""The worker pool: spawn, route, supervise, drain.
 
 The :class:`WorkerPool` is the front's handle on the cluster.  It
 
@@ -8,12 +8,10 @@ The :class:`WorkerPool` is the front's handle on the cluster.  It
   (:mod:`repro.cluster.hashing`) behind a per-worker circuit breaker —
   a dead worker fails fast with a retryable 503 + ``Retry-After``
   instead of hanging callers;
-* scatters phase scans across workers by shard and gathers the partial
-  count matrices (:mod:`repro.cluster.merge`); a worker that fails
-  mid-scatter has its shards re-scanned *exactly* on the survivors
-  (every worker holds the full database), so failover changes nothing
-  in the merged bytes — only if re-scatter also fails does the result
-  degrade (reported per scan) or the request 503;
+* sends each stateless ``maps.scan`` whole to one worker, round-robin
+  over the workers that are up, and retries it once on the next worker
+  if the first is unreachable — every worker holds the full database, so
+  the answer is exact or a retryable 503, never partial;
 * runs a heartbeat monitor that detects dead or wedged workers and
   restarts them; the replacement reoccupies the same ring slot and
   replays its own checkpoint store, so routed sessions survive a crash;
@@ -21,14 +19,14 @@ The :class:`WorkerPool` is the front's handle on the cluster.  It
   joins the processes, and unlinks every shared-memory segment.
 
 Observability crosses the pool: RPCs run inside ``worker.rpc`` spans on
-the caller's ambient trace (scatter threads re-activate the captured
-context), worker span summaries are scraped for
+the caller's ambient trace, worker span summaries are scraped for
 ``/debug/spans/summary``, and :meth:`metric_families` feeds
 ``worker``-labelled families into ``/metrics``.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
 import os
@@ -39,19 +37,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from ..core.engine import SubDExConfig
 from ..exceptions import ReproError
 from ..model.database import SubjectiveDatabase
 from ..obs.metrics import MetricFamily
-from ..obs.tracing import activate, current_context, current_trace_id, span
+from ..obs.tracing import current_trace_id, span
 from ..resilience.breaker import BreakerOpenError, CircuitBreaker
 from ..resilience.deadline import current_deadline
 from . import ipc
 from .hashing import HashRing
-from .merge import PartialScan
-from .partition import ShardMap, share_database
+from .partition import share_database
 from .shm import SegmentRegistry, purge_stale_segments
 from .worker import WorkerSpec, worker_main
 
@@ -71,12 +68,9 @@ class WorkerUnavailableError(ReproError):
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs of the sharded deployment (``serve --workers N --shards M``)."""
+    """Knobs of the multi-process deployment (``serve --workers N``)."""
 
     workers: int = 2
-    #: Shard count; ``None`` → ``4 × workers`` so shards outnumber workers
-    #: and failover re-scatter spreads a dead worker's load evenly.
-    shards: int | None = None
     heartbeat_interval_seconds: float = 0.5
     heartbeat_timeout_seconds: float = 1.0
     #: consecutive failed heartbeats before a live-looking worker is
@@ -92,15 +86,9 @@ class ClusterConfig:
     breaker_reset_seconds: float = 1.0
     retry_after_seconds: float = 1.0
 
-    @property
-    def n_shards(self) -> int:
-        return self.shards if self.shards is not None else 4 * self.workers
-
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
 
 
 @dataclass
@@ -160,8 +148,9 @@ class WorkerPool:
         #: RPC that already succeeded.
         self.collect_traces = False
         self.trace_sink: Callable[[Mapping[str, Any]], None] | None = None
-        self.shard_map = ShardMap(self.config.n_shards)
         self.ring = HashRing(self.config.workers)
+        #: round-robin turn of the stateless scans
+        self._scan_turns = itertools.count()
         self.segments = SegmentRegistry()
         self._run_dir: str | None = None
         self._manifests: dict[str, dict[str, Any]] | None = None
@@ -186,7 +175,7 @@ class WorkerPool:
         }
         self._executor = ThreadPoolExecutor(
             max_workers=max(4, 2 * self.config.workers),
-            thread_name_prefix="subdex-scatter",
+            thread_name_prefix="subdex-scrape",
         )
         for index in range(self.config.workers):
             handle = _WorkerHandle(
@@ -214,7 +203,6 @@ class WorkerPool:
         return WorkerSpec(
             index=index,
             n_workers=self.config.workers,
-            n_shards=self.config.n_shards,
             socket_path=os.path.join(self._run_dir, f"worker-{index}.sock"),
             manifests=self._manifests,
             configs={
@@ -338,14 +326,6 @@ class WorkerPool:
     def n_workers(self) -> int:
         return self.config.workers
 
-    @property
-    def dataset_names(self) -> tuple[str, ...]:
-        return tuple(self._datasets)
-
-    def dataset(self, name: str) -> tuple[SubjectiveDatabase, SubDExConfig]:
-        """The (database, engine config) pair served under ``name``."""
-        return self._datasets[name]
-
     def route(self, session_id: str) -> int:
         """The ring slot (worker index) owning ``session_id``."""
         return self.ring.slot_for(session_id)
@@ -406,106 +386,34 @@ class WorkerPool:
                 pass
         return reply["status"], reply["payload"]
 
-    # -- scatter/gather ------------------------------------------------------
+    # -- stateless scans -----------------------------------------------------
     def scatter_scan(
-        self,
-        dataset: str,
-        criteria: Any,
-        specs: Sequence[Any],
-        timeout: float | None = None,
-    ) -> tuple[list[PartialScan], dict[str, Any]]:
-        """Scan ``criteria`` across all workers; gather the partials.
+        self, payload: Mapping[str, Any]
+    ) -> tuple[int, dict[str, Any]]:
+        """Run one ``maps.scan`` op on one worker; returns (status, payload).
 
-        Each worker scans its owned shards; shards of workers that fail
-        are re-scattered to the survivors (exact — any worker can scan
-        any shard).  Returns the partials plus scatter metadata:
-        ``degraded`` is True iff some shards ended up uncovered, and
-        ``missing_shards`` lists them.  Raises
-        :class:`WorkerUnavailableError` if no worker answered at all.
+        The worker is the next one up in round-robin order; if it is
+        unreachable (:class:`WorkerUnavailableError`, an open breaker) the
+        scan is retried once on the following worker that is up.  Raises
+        :class:`WorkerUnavailableError` when no worker answers.  The scan
+        no longer scatters; the name stays because ``stepbench/shims.py``
+        wraps this method by attribute name.
         """
-        assert self._executor is not None, "pool not started"
-        assignment = {
-            w: list(self.shard_map.owned_shards(w, self.n_workers))
-            for w in range(self.n_workers)
-        }
-        ctx = current_context()
-
-        def scan_on(worker: int, shards: list[int]) -> PartialScan:
-            with activate(ctx):
-                status, payload = self.call(
-                    worker,
-                    "scan",
-                    {
-                        "dataset": dataset,
-                        "criteria": criteria,
-                        "specs": tuple(specs),
-                        "shards": tuple(shards),
-                    },
-                    timeout=timeout,
-                )
-            if status != 200:
-                raise WorkerUnavailableError(
-                    worker,
-                    f"scan answered {status}",
-                    self.config.retry_after_seconds,
-                )
-            return PartialScan(
-                shards=tuple(payload["shards"]),
-                group_size=payload["group_size"],
-                counts=payload["counts"],
-            )
-
-        partials: list[PartialScan] = []
-        scanned_by: list[dict[str, Any]] = []
-        pending = {w: shards for w, shards in assignment.items() if shards}
-        failed_shards: list[int] = []
-        failed_workers: set[int] = set()
-
-        def run_round(work: dict[int, list[int]]) -> None:
-            futures = {
-                w: self._executor.submit(scan_on, w, shards)
-                for w, shards in work.items()
-            }
-            for w, future in futures.items():
-                try:
-                    partial = future.result()
-                except (WorkerUnavailableError, BreakerOpenError):
-                    failed_workers.add(w)
-                    failed_shards.extend(work[w])
-                    continue
-                partials.append(partial)
-                scanned_by.append(
-                    {
-                        "worker": w,
-                        "shards": list(partial.shards),
-                        "rows": partial.group_size,
-                    }
-                )
-
-        with span("cluster.scatter", dataset=dataset, workers=len(pending)):
-            run_round(pending)
-            missing = list(failed_shards)
-            if missing:
-                survivors = [
-                    w for w in range(self.n_workers) if w not in failed_workers
-                ]
-                if survivors:
-                    failed_shards.clear()
-                    retry = {w: [] for w in survivors}
-                    for i, shard in enumerate(missing):
-                        retry[survivors[i % len(survivors)]].append(shard)
-                    run_round({w: s for w, s in retry.items() if s})
-                    missing = list(failed_shards)
-        if not partials and missing:
+        up = [h.index for h in self._handles if h.state == "up"]
+        if not up:
             raise WorkerUnavailableError(
-                -1, "no worker answered the scatter", self.config.retry_after_seconds
+                -1, "no worker is up", self.config.retry_after_seconds
             )
-        meta = {
-            "workers": scanned_by,
-            "degraded": bool(missing),
-            "missing_shards": sorted(missing),
-        }
-        return partials, meta
+        first = next(self._scan_turns) % len(up)
+        error: Exception | None = None
+        for worker in (up[first:] + up[:first])[:2]:
+            try:
+                return self.call(worker, "maps.scan", payload)
+            except (WorkerUnavailableError, BreakerOpenError) as failure:
+                error = failure
+        raise WorkerUnavailableError(
+            -1, "no worker answered the scan", self.config.retry_after_seconds
+        ) from error
 
     # -- introspection -------------------------------------------------------
     def worker_states(self) -> list[dict[str, Any]]:

@@ -1,4 +1,4 @@
-"""The worker process: one shard-owning engine behind a Unix socket.
+"""The worker process: one engine per dataset behind a Unix socket.
 
 Each worker is spawned (not forked — the front is multi-threaded) from a
 picklable :class:`WorkerSpec`, attaches the shared-memory dataset
@@ -9,9 +9,9 @@ messages over its ``AF_UNIX`` socket:
   ring routes to its slot and runs them on its own
   :class:`~repro.server.app.SessionService` — the class the
   single-process server runs — over its shm-attached engines, so
-  per-session responses are byte-identical because the same code runs;
-* **scan** — the scatter half of a phase scan: count matrices for the
-  requested shards only (:func:`~repro.cluster.merge.partial_scan`);
+  per-session responses are byte-identical because the same code runs
+  (the stateless ``maps.scan`` op too, on whichever worker the front
+  picks);
 * **ping / stats / shutdown** — supervision, observability scrape, and
   graceful drain.
 
@@ -55,8 +55,7 @@ from ..server.protocol import (  # noqa: F401
 from ..server.registry import SessionRegistry
 from ..slo import SLOConfig, SLOTracker
 from . import ipc
-from .merge import partial_scan
-from .partition import ShardMap, attach_database
+from .partition import attach_database
 from .shm import SegmentRegistry
 
 __all__ = ["WorkerSpec", "worker_main"]
@@ -70,7 +69,6 @@ class WorkerSpec:
 
     index: int
     n_workers: int
-    n_shards: int
     socket_path: str
     #: dataset name → :func:`~repro.cluster.partition.share_database` manifest
     manifests: Mapping[str, Mapping[str, Any]]
@@ -103,11 +101,6 @@ class WorkerApp:
         self.databases = {
             name: attach_database(manifest, self.segments)
             for name, manifest in spec.manifests.items()
-        }
-        shard_map = ShardMap(spec.n_shards)
-        self.record_shards = {
-            name: shard_map.record_shards(db)
-            for name, db in self.databases.items()
         }
         self._engines: dict[str, CachingEngine] = {}
         self._engines_lock = threading.Lock()
@@ -204,7 +197,6 @@ class WorkerApp:
             "status": status,
             "payload": reply,
             "worker": self.spec.index,
-            "server_ms": elapsed * 1000.0,
         }
         # fleet trace collection: ship this request's finished span tree
         # back as a fragment when the front asked for it (supervision
@@ -260,35 +252,6 @@ class WorkerApp:
     ) -> tuple[int, dict[str, Any]]:
         self.stop.set()
         return 200, {"worker": self.spec.index, "stopping": True}
-
-    # -- scatter scans -------------------------------------------------------
-    def op_scan(self, payload: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        dataset = payload.get("dataset") or self.spec.default_dataset
-        database = self.databases.get(dataset)
-        if database is None:
-            raise ProtocolError(
-                f"unknown dataset {dataset!r}", "unknown_dataset"
-            )
-        with self.tracer.span(
-            "engine.scan", dataset=dataset, n_specs=len(payload["specs"])
-        ):
-            with self.tracer.span(
-                "phase.scan", shards=len(payload["shards"])
-            ) as sp:
-                partial = partial_scan(
-                    database,
-                    payload["criteria"],
-                    payload["specs"],
-                    self.record_shards[dataset],
-                    payload["shards"],
-                )
-                sp.set(rows=partial.group_size)
-        return 200, {
-            "worker": self.spec.index,
-            "shards": partial.shards,
-            "group_size": partial.group_size,
-            "counts": partial.counts,
-        }
 
 
 def _serve_connection(app: WorkerApp, conn: socket.socket) -> None:

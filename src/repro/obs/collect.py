@@ -1,6 +1,6 @@
 """Fleet-wide trace collection: tail sampling, cross-process stitching, search.
 
-A sharded deployment (PR 6) traces every request on both sides of the
+A multi-process deployment traces every request on both sides of the
 IPC boundary, but each process keeps its own ring buffer — the fleet's
 traces are fragmented.  This module closes that gap in the front process:
 

@@ -209,14 +209,13 @@ class SubDExClient:
         trace_id = response.getheader("X-Trace-Id")
         if trace_id is not None:
             self.last_trace_id = trace_id
-        server_ms: float | None = None
+        self.last_server_ms = None
         raw_server_ms = response.getheader("X-Server-Ms")
         if raw_server_ms is not None:
             try:
-                server_ms = float(raw_server_ms)
+                self.last_server_ms = float(raw_server_ms)
             except ValueError:
-                server_ms = None
-        self.last_server_ms = server_ms
+                pass
         content_type = response.getheader("Content-Type") or ""
         if response.status < 400 and "application/json" not in content_type:
             # text endpoints (collapsed profiles, Prometheus expositions)
@@ -231,12 +230,6 @@ class SubDExClient:
                     f"non-JSON body: {error}",
                     trace_id=trace_id,
                 ) from None
-        if (
-            response.status < 400
-            and server_ms is not None
-            and isinstance(data, dict)
-        ):
-            data.setdefault("server_ms", server_ms)
         if response.status >= 400:
             error_info = data.get("error", {}) if isinstance(data, dict) else {}
             retry_after = error_info.get("retry_after")
@@ -320,7 +313,7 @@ class SubDExClient:
 
     # -- cluster -------------------------------------------------------------
     def workers(self) -> dict[str, Any]:
-        """Worker states of a sharded server (``enabled: false`` otherwise)."""
+        """Worker states of a cluster server (``enabled: false`` otherwise)."""
         return self.request("GET", "/cluster/workers")
 
     def cluster_maps(
@@ -329,7 +322,7 @@ class SubDExClient:
         criteria: Mapping[str, Any] | None = None,
         k: int | None = None,
     ) -> dict[str, Any]:
-        """One stateless scatter/gather phase scan (``POST /cluster/maps``)."""
+        """One stateless exact scan of a group (``POST /cluster/maps``)."""
         payload: dict[str, Any] = {}
         if dataset is not None:
             payload["dataset"] = dataset
@@ -362,7 +355,7 @@ class SubDExClient:
         tree = debug.get("spans") or {}
         return {
             "trace_id": debug.get("trace_id") or self.last_trace_id,
-            "server_ms": data.get("server_ms"),
+            "server_ms": self.last_server_ms,
             "tree": tree,
             "costs": tree_costs(tree),
         }

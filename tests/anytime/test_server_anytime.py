@@ -24,8 +24,7 @@ def test_plain_request_payload_is_unchanged(make_server, no_retry_client):
     payload = client.request(
         "GET", f"/sessions/{session.id}/recommendations"
     )
-    # server_ms is client-side timing, not part of the wire payload
-    assert set(payload) - {"server_ms"} == {"session_id", "recommendations"}
+    assert set(payload) == {"session_id", "recommendations"}
     assert payload["recommendations"]
     for entry in payload["recommendations"]:
         assert "quality" not in entry
@@ -38,7 +37,7 @@ def test_anytime_disabled_ignores_pressure(make_server, no_retry_client):
     payload = client.request(
         "GET", f"/sessions/{session.id}/recommendations"
     )
-    assert set(payload) - {"server_ms"} == {"session_id", "recommendations"}
+    assert set(payload) == {"session_id", "recommendations"}
 
 
 # -- budgeted envelopes -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fixtures for the cluster suite: synthetic databases with one of every
-column shape (missing values, multi-valued attributes, numeric attributes)
-and helpers for comparing HTTP payloads modulo volatile timing fields."""
+column shape (missing values, multi-valued attributes, numeric attributes),
+generated selection criteria for the scan oracles, and helpers for
+comparing HTTP payloads modulo volatile timing fields."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro import SubjectiveDatabase
 from repro.db import Table
+from repro.model.groups import SelectionCriteria
 
 CITIES = ["NYC", "Austin", "Detroit", "Reno"]
 GENRES = ["Pizza", "Sushi", "Tacos", "Burgers", "Ramen"]
@@ -79,10 +81,50 @@ def make_db(
     )
 
 
+#: The group shapes the scan oracles generate (see :func:`make_criteria`).
+CRITERIA_KINDS = ("root", "one-pair", "two-pair", "multi-valued", "empty")
+
+
+def make_criteria(db: SubjectiveDatabase, kind: str, seed: int) -> SelectionCriteria:
+    """A seeded selection of one shape over a :func:`make_db` database.
+
+    Values are drawn from the database's own columns, so ``one-pair``,
+    ``two-pair`` and ``multi-valued`` (a cuisine, plus a reviewer pair)
+    groups are usually non-empty; ``empty`` pairs a real reviewer value
+    with a city no item has.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(table, attribute):
+        values = sorted(
+            {v for v in table.column(attribute).to_list() if v is not None}
+        )
+        return values[int(rng.integers(len(values)))]
+
+    attribute = ("gender", "occupation")[int(rng.integers(2))]
+    reviewer = {attribute: draw(db.reviewers, attribute)}
+    if kind == "root":
+        return SelectionCriteria.root()
+    if kind == "one-pair":
+        if rng.random() < 0.5:
+            return SelectionCriteria.of(reviewer=reviewer)
+        return SelectionCriteria.of(item={"city": draw(db.items, "city")})
+    if kind == "two-pair":
+        return SelectionCriteria.of(
+            reviewer=reviewer, item={"city": draw(db.items, "city")}
+        )
+    if kind == "multi-valued":
+        cuisine = GENRES[int(rng.integers(len(GENRES)))]
+        return SelectionCriteria.of(reviewer=reviewer, item={"cuisine": cuisine})
+    if kind == "empty":
+        return SelectionCriteria.of(reviewer=reviewer, item={"city": "Atlantis"})
+    raise ValueError(f"unknown criteria kind {kind!r}")
+
+
 #: Timing fields that legitimately differ between two otherwise
 #: byte-identical deployments.
 VOLATILE_KEYS = frozenset(
-    {"server_ms", "elapsed_seconds", "created_at", "idle_seconds", "session_id"}
+    {"elapsed_seconds", "created_at", "idle_seconds", "session_id"}
 )
 
 
@@ -107,3 +149,25 @@ def db_factory():
 @pytest.fixture()
 def strip():
     return strip_volatile
+
+
+@pytest.fixture(scope="session")
+def criteria_factory():
+    return make_criteria
+
+
+@pytest.fixture(scope="session")
+def criteria_kinds():
+    return CRITERIA_KINDS
+
+
+@pytest.fixture(
+    params=[
+        pytest.param((kind, seed), id=f"{kind}-{seed}")
+        for kind in CRITERIA_KINDS
+        for seed in range(3)
+    ]
+)
+def criteria_case(request):
+    """One generated ``(kind, seed)`` case for :func:`make_criteria`."""
+    return request.param

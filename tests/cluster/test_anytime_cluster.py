@@ -30,7 +30,6 @@ def _start(db_factory, tmp_path, fault_plan=None):
         {"synthetic": lambda: SubDEx(db_factory(seed=3), SubDExConfig())},
         config=ServerConfig(
             workers=2,
-            shards=8,
             worker_heartbeat_seconds=0.15,
             checkpoint_dir=str(tmp_path / "checkpoints"),
         ),

@@ -4,8 +4,8 @@ A dead worker must (a) answer routed requests with the retryable 503
 ``worker_unavailable`` envelope (Retry-After included) while it is down,
 (b) be detected and restarted by the supervisor, (c) come back with its
 sessions restored from its checkpoint store — same bytes as before the
-crash — and (d) leave scatter/gather scans either exact (failover
-re-scatter on the survivor) or degraded-or-503, never silently wrong."""
+crash — and (d) leave stateless scans either exact (answered by the
+survivor) or a typed 503, never degraded or silently wrong."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ def chaos_server(db_factory, tmp_path):
         {"synthetic": lambda: SubDEx(db_factory(seed=3), SubDExConfig())},
         config=ServerConfig(
             workers=2,
-            shards=8,
             worker_heartbeat_seconds=0.15,
             checkpoint_dir=str(tmp_path / "checkpoints"),
         ),
@@ -122,28 +121,26 @@ def test_killed_worker_503s_then_restarts_with_session_intact(
     session.close()
 
 
-def test_scatter_survives_worker_death_exactly_or_degrades(
-    chaos_server, client
-):
+def test_scan_survives_worker_death_exactly_or_503s(chaos_server, client):
     baseline = client.cluster_maps()
 
     os.kill(_worker_info(client)[1]["pid"], signal.SIGKILL)
 
-    # immediately scan: the dead worker's shards re-scatter onto the
-    # survivor (exact), or the request degrades / 503s — never silently
-    # diverges
-    status, headers, payload = _raw(
-        chaos_server.url + "/cluster/maps", method="POST", body={}
-    )
-    if status == 200:
-        if not payload["degraded"]:
+    # immediately scan twice, so one round-robin turn lands on the dead
+    # worker unless the supervisor has already taken it out: the scan
+    # fails over to the survivor (exact) or 503s — never degrades
+    for __ in range(2):
+        status, headers, payload = _raw(
+            chaos_server.url + "/cluster/maps", method="POST", body={}
+        )
+        if status == 200:
+            assert payload["degraded"] is False
+            assert payload["worker"] == 0
             assert payload["maps"] == baseline["maps"]
             assert payload["group_size"] == baseline["group_size"]
         else:
-            assert payload["scatter"]["missing_shards"]
-    else:
-        assert status == 503, payload
-        _assert_unavailable_envelope(headers, payload)
+            assert status == 503, payload
+            _assert_unavailable_envelope(headers, payload)
 
     # after the supervisor restarts the worker, results are exact again
     _wait_all_up(client)

@@ -1,4 +1,4 @@
-"""End-to-end sharded serving: ``--workers 2`` answers byte-for-byte what
+"""End-to-end cluster serving: ``--workers 2`` answers byte-for-byte what
 the single-process server answers, and the cluster surfaces (worker
 states, worker-labelled metrics, per-worker span summaries, merged
 session lists) are wired through the front."""
@@ -19,6 +19,7 @@ import pytest
 from repro.cluster.shm import SEGMENT_PREFIX
 from repro.core.engine import SubDEx, SubDExConfig
 from repro.server import ServerConfig, SubDExClient, build_server
+from repro.server.protocol import criteria_to_json
 
 
 def _factories(make_db):
@@ -34,7 +35,7 @@ def _start(server):
 def single_server(db_factory):
     server = _start(
         build_server(
-            _factories(db_factory), config=ServerConfig(workers=0, shards=8)
+            _factories(db_factory), config=ServerConfig(workers=0)
         )
     )
     yield server
@@ -45,7 +46,7 @@ def single_server(db_factory):
 def sharded_server(db_factory):
     server = _start(
         build_server(
-            _factories(db_factory), config=ServerConfig(workers=2, shards=8)
+            _factories(db_factory), config=ServerConfig(workers=2)
         )
     )
     yield server
@@ -95,7 +96,7 @@ def test_front_keepalive_reads_skip_the_delayed_ack(sharded_server):
 def test_workers_endpoint(single, sharded):
     info = sharded.workers()
     assert info["enabled"] is True
-    assert info["n_workers"] == 2 and info["n_shards"] == 8
+    assert info["n_workers"] == 2 and "n_shards" not in info
     assert [w["state"] for w in info["workers"]] == ["up", "up"]
     assert all(w["alive"] for w in info["workers"])
     mine = single.workers()
@@ -107,9 +108,24 @@ def test_cluster_maps_byte_identical(single, sharded):
     theirs = sharded.cluster_maps()
     assert mine["group_size"] == theirs["group_size"]
     assert mine["maps"] == theirs["maps"]
-    assert theirs["degraded"] is False
-    assert {w["worker"] for w in theirs["scatter"]["workers"]} == {0, 1}
-    assert mine["scatter"]["mode"] == "local"
+    assert mine["degraded"] is False and theirs["degraded"] is False
+    assert mine["worker"] is None and theirs["worker"] in (0, 1)
+    assert "scatter" not in theirs
+
+
+def test_generated_scans_byte_identical(
+    single_server, sharded_server, db_factory, criteria_factory, criteria_case
+):
+    criteria = criteria_factory(db_factory(seed=3), *criteria_case)
+    body = {"criteria": criteria_to_json(criteria)}
+    status, mine = _raw(single_server.url + "/cluster/maps", "POST", body)
+    assert status == 200
+    status, theirs = _raw(sharded_server.url + "/cluster/maps", "POST", body)
+    assert status == 200
+    mine, theirs = json.loads(mine), json.loads(theirs)
+    assert mine.pop("worker") is None and theirs.pop("worker") in (0, 1)
+    # same keys, same order, same bytes once the serving worker is dropped
+    assert json.dumps(mine) == json.dumps(theirs)
 
 
 def test_cluster_maps_with_criteria_and_k(single, sharded):
@@ -208,12 +224,14 @@ def test_metrics_have_worker_families(sharded_server, sharded):
 
 
 def test_debug_spans_include_worker_sections(sharded):
-    # touch both workers first so each has spans to report
+    # touch both workers first (scans alternate) so each has spans to report
+    sharded.cluster_maps()
     sharded.cluster_maps()
     spans = sharded.spans_summary()
     assert sorted(spans["workers"]) == ["0", "1"]
     front_spans = {entry["name"] for entry in spans["operations"]}
-    assert "cluster.scatter" in front_spans and "worker.rpc" in front_spans
+    assert "worker.rpc" in front_spans
+    assert "cluster.scatter" not in front_spans
     for stats in spans["workers"].values():
         worker_ops = {entry["name"] for entry in stats["operations"]}
         assert "worker.request" in worker_ops

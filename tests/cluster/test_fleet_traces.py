@@ -1,10 +1,9 @@
 """Fleet trace collection in a 2-worker deployment.
 
 The acceptance path: one request produces ONE stitched tree — front
-spans (``request`` → ``cluster.scatter`` → ``worker.rpc``) with each
-worker's shipped fragment (``worker.request`` → ``engine.*`` →
-``phase.scan``) re-parented under its rpc span, per-worker pid
-attribution, ``partial: true`` when a worker died mid-request, and
+spans (``request`` → ``worker.rpc``) with the serving worker's shipped
+fragment (``worker.request`` → ``engine.*``) re-parented under its rpc
+span, per-worker pid attribution, ``partial: true`` when a worker died mid-request, and
 exemplars on the OpenMetrics exposition that resolve back to collected
 traces.
 """
@@ -28,15 +27,15 @@ from repro.server.client import RetryPolicy, ServerError
 
 
 def start_server(db_factory, tmp_path, **config_overrides):
+    config = {
+        "workers": 2,
+        "worker_heartbeat_seconds": 0.15,
+        "checkpoint_dir": str(tmp_path / "checkpoints"),
+        **config_overrides,
+    }
     server = build_server(
         {"synthetic": lambda: SubDEx(db_factory(seed=3), SubDExConfig())},
-        config=ServerConfig(
-            workers=2,
-            shards=8,
-            worker_heartbeat_seconds=0.15,
-            checkpoint_dir=str(tmp_path / "checkpoints"),
-            **config_overrides,
-        ),
+        config=ServerConfig(**config),
     )
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
@@ -93,47 +92,32 @@ def _find_all(node, name):
 
 class TestStitchedTrees:
     def test_scatter_scan_is_one_stitched_tree(self, client):
-        client.cluster_maps()
-        record = client.trace(client.last_trace_id)
+        pids = _worker_pids(client)
+        # a fresh pool's scans go round-robin: worker 0, then worker 1
+        for worker in (0, 1):
+            assert client.cluster_maps()["worker"] == worker
+            record = client.trace(client.last_trace_id)
 
-        assert record["partial"] is False
-        assert record["route"] == "POST /cluster/maps"
-        # per-worker attribution: both workers, their real pids
-        assert sorted(w["worker"] for w in record["workers"]) == [0, 1]
-        assert sorted(w["pid"] for w in record["workers"]) == sorted(
-            _worker_pids(client).values()
-        )
-        for meta in record["workers"]:
+            assert record["partial"] is False
+            assert record["route"] == "POST /cluster/maps"
+            # one worker served the scan: its fragment, its real pid
+            (meta,) = record["workers"]
+            assert meta["worker"] == worker
+            assert meta["pid"] == pids[worker]
             assert meta["matched"] is True
             assert isinstance(meta["clock_skew_ms"], float)
 
-        tree = record["tree"]
-        assert tree["name"] == "request"
-        names = _names(tree)
-        for expected in (
-            "request",
-            "cluster.scatter",
-            "worker.rpc",
-            "worker.request",
-            "engine.scan",
-            "phase.scan",
-        ):
-            assert expected in names, f"{expected} missing from {names}"
-        rpcs = _find_all(tree, "worker.rpc")
-        assert len(rpcs) == 2
-        for rpc in rpcs:
+            tree = record["tree"]
+            assert tree["name"] == "request"
+            assert "cluster.scatter" not in _names(tree)
+            (rpc,) = _find_all(tree, "worker.rpc")
+            assert rpc in tree["children"]
+            assert rpc["attributes"]["worker"] == worker
             (fragment_root,) = rpc["children"]
             assert fragment_root["name"] == "worker.request"
-            assert (
-                fragment_root["attributes"]["worker"]
-                == rpc["attributes"]["worker"]
-            )
-            assert fragment_root["attributes"]["pid"] in _worker_pids(
-                client
-            ).values()
-            leaf_names = _names(fragment_root)
-            assert "engine.scan" in leaf_names
-            assert "phase.scan" in leaf_names
+            assert fragment_root["attributes"]["worker"] == worker
+            assert fragment_root["attributes"]["pid"] == pids[worker]
+            assert "engine.scan" in _names(fragment_root)
 
     def test_session_step_trace_carries_worker_engine_spans(self, client):
         session = client.create_session()
@@ -174,22 +158,36 @@ class TestStitchedTrees:
 
 
 class TestFaultInjection:
-    def test_killed_worker_yields_partial_trace_not_hang(self, client):
-        pids = _worker_pids(client)
-        os.kill(pids[1], signal.SIGKILL)
-        time.sleep(0.1)
-
-        # the scan must answer promptly either way; its trace must exist
-        # and be explicit about the missing worker
+    def test_killed_worker_yields_partial_trace_not_hang(
+        self, db_factory, tmp_path
+    ):
+        # a slow heartbeat keeps the killed worker marked up, so the next
+        # scan's round-robin turn reaches it and fails over
+        server = start_server(
+            db_factory, tmp_path, worker_heartbeat_seconds=30.0
+        )
         try:
-            client.cluster_maps()
-        except ServerError as error:
-            assert error.status == 503
-        record = client.trace(client.last_trace_id)
-        assert record is not None
-        assert record["partial"] is True
-        claimed = {w["worker"] for w in record["workers"] if w["matched"]}
-        assert 1 not in claimed  # the killed worker never shipped a fragment
+            with SubDExClient(server.url) as client:
+                survivor = client.cluster_maps()["worker"]
+                killed = 1 - survivor
+                os.kill(_worker_pids(client)[killed], signal.SIGKILL)
+                time.sleep(0.1)
+
+                # the scan must answer promptly either way; its trace must
+                # exist and be explicit about the missing worker
+                try:
+                    assert client.cluster_maps()["worker"] == survivor
+                except ServerError as error:
+                    assert error.status == 503
+                record = client.trace(client.last_trace_id)
+                assert record is not None
+                assert record["partial"] is True
+                claimed = {
+                    w["worker"] for w in record["workers"] if w["matched"]
+                }
+                assert killed not in claimed  # it never shipped a fragment
+        finally:
+            server.graceful_shutdown(drain_seconds=5.0)
 
     def test_error_messages_quote_resolvable_trace_ids(
         self, fleet_server, client

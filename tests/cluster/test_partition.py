@@ -1,9 +1,9 @@
-"""Shared-memory database export/attach roundtrips and shard assignment.
+"""Shared-memory database export/attach roundtrips.
 
 The attach side must reproduce every column bit-for-bit (numeric data,
 categorical codes *and* category order, multi-valued sets, missing
 values) and the exported alignment arrays must match what the attaching
-side would have recomputed — these are the preconditions for the merge
+side would have recomputed — these are the preconditions for the scan
 equivalence in ``test_merge.py``."""
 
 from __future__ import annotations
@@ -11,11 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.partition import (
-    ShardMap,
-    attach_database,
-    share_database,
-)
+from repro.cluster.partition import attach_database, share_database
 from repro.cluster.shm import SegmentRegistry
 from repro.model.database import Side
 
@@ -73,34 +69,3 @@ def test_manifest_is_picklable(registry, attach_registry, db_factory):
     attached = attach_database(clone, attach_registry)
     assert len(attached.ratings) == 700
 
-
-def test_record_shards_partition_exactly(db_factory):
-    db = db_factory(seed=1)
-    for n_shards in (1, 2, 5, 64, 1000):
-        shards = ShardMap(n_shards).record_shards(db)
-        assert shards.shape == (len(db.ratings),)
-        assert shards.min() >= 0 and shards.max() < n_shards
-
-
-def test_reviewer_records_stay_shard_local(db_factory):
-    db = db_factory(seed=1)
-    shard_map = ShardMap(7)
-    shards = shard_map.record_shards(db)
-    user_rows = db.entity_rows_for_ratings(Side.REVIEWER)
-    for row in np.unique(user_rows):
-        assert len(np.unique(shards[user_rows == row])) == 1
-
-
-def test_owned_shards_partition_the_shard_set():
-    shard_map = ShardMap(10)
-    owned = [shard_map.owned_shards(w, 3) for w in range(3)]
-    flat = sorted(s for shards in owned for s in shards)
-    assert flat == list(range(10))
-    assert all(shards for shards in owned)  # 10 shards over 3 workers: none idle
-
-
-def test_shard_map_validation():
-    with pytest.raises(ValueError):
-        ShardMap(0)
-    with pytest.raises(ValueError):
-        ShardMap(4).owned_shards(3, 3)

@@ -37,7 +37,7 @@ def test_graceful_shutdown_under_load(db_factory, tmp_path):
     server = build_server(
         {"synthetic": lambda: SubDEx(db_factory(seed=3), SubDExConfig())},
         config=ServerConfig(
-            workers=2, shards=8, checkpoint_dir=str(checkpoint_dir)
+            workers=2, checkpoint_dir=str(checkpoint_dir)
         ),
     )
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -108,8 +108,6 @@ def test_serve_sigterm_drains_and_exits_zero(tmp_path, workers):
             "0",
             "--workers",
             str(workers),
-            "--shards",
-            "4",
             "--checkpoint-dir",
             str(tmp_path / "checkpoints"),
         ],
