@@ -149,7 +149,7 @@ DEFAULT_OP_CLASSES: Mapping[str, str] = {
     "session.refine": "recommendations",
     "session.create": "steps",
     "session.apply": "steps",
-    "scan": "steps",
+    "maps.scan": "steps",
     "session.maps": "reads",
     "session.summary": "reads",
     "session.history": "reads",
