@@ -60,7 +60,7 @@ import numpy as np
 
 from ..core.interestingness import Criterion, CriterionScores
 from ..core.normalization import conciseness_01
-from ..core.utility import UtilityConfig
+from ..core.utility import SeenMaps, UtilityConfig
 
 __all__ = [
     "SpecScores",
@@ -70,7 +70,15 @@ __all__ = [
     "batch_family_scores",
     "batch_family_normalized",
     "batch_family_dw",
+    "seen_probabilities",
 ]
+
+
+def seen_probabilities(seen: SeenMaps) -> "np.ndarray | None":
+    """The ``(n_seen, scale)`` probability stack of the seen maps' pooled
+    distributions — the kernels' ``seen_probs`` (``None`` if none seen)."""
+    pooled = seen.pooled_distributions()
+    return np.stack([q.probabilities() for q in pooled]) if pooled else None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from ..model.groups import RatingGroup, SelectionCriteria
 from ..obs import span as obs_span
 from ..resilience.gate import under_pressure
 from .distance import MapDistanceMethod, min_pairwise_distance
-from .interestingness import CriterionScores, InterestingnessScorer
+from .interestingness import InterestingnessScorer
 from .phases import PhasedExecution, PhasedExecutionResult, finalize_from_counts
 from .pruning import PruningStrategy, make_pruner
 from .rating_maps import RatingMap, RatingMapSpec, enumerate_map_specs
@@ -160,7 +160,6 @@ class RMSetGenerator:
         group_size: int,
         seen: SeenMaps,
         k: int | None = None,
-        raw_scores: "Mapping[RatingMapSpec, CriterionScores] | None" = None,
     ) -> RMSetResult:
         """Problem 1 from precomputed histograms (the index fast path).
 
@@ -168,10 +167,9 @@ class RMSetGenerator:
         the same records when run with one phase and no pruning (the
         Recommendation Builder's preview configuration): the count matrices
         are sufficient statistics, and scoring/selection read nothing else
-        from the group.  ``raw_scores`` optionally injects precomputed raw
-        criterion scores (see :func:`~repro.core.phases.finalize_from_counts`);
-        the batched family path uses this so previews score straight from
-        the stacked kernel output.
+        from the group.  Configurations the batch kernel covers score every
+        spec in one kernel pass (see
+        :func:`~repro.core.phases.finalize_from_counts`).
         """
         config = self._config
         k = config.k if k is None else k
@@ -189,7 +187,7 @@ class RMSetGenerator:
             config.utility,
             self._scorer,
             k_prime,
-            raw_scores=raw_scores,
+            kernel=supports_batch(config),
         )
         if config.diversity_only:
             ranked = tuple(sorted(outcome.ranked, key=lambda rm: rm.spec))

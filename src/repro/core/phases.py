@@ -27,8 +27,8 @@ column of a single-candidate family and one
 :func:`~repro.batch.kernel.batch_family_scores` call scores them all,
 bitwise-equal to the scalar scorer; ablation configurations score through
 :class:`~repro.core.interestingness.InterestingnessScorer` and feed the same
-arrays.  The final phase's survivors go through the kernel once more and
-their raw scores are injected into :func:`finalize_from_counts`.
+arrays.  :func:`finalize_from_counts` scores the final phase's survivors
+the same way.
 """
 
 from __future__ import annotations
@@ -38,12 +38,17 @@ from typing import TYPE_CHECKING, Any, Callable, Collection, Hashable, Mapping, 
 
 import numpy as np
 
-from ..batch.kernel import batch_family_dw, batch_family_normalized, batch_family_scores
+from ..batch.kernel import (
+    batch_family_dw,
+    batch_family_normalized,
+    batch_family_scores,
+    seen_probabilities,
+)
 from ..db.groupby import Grouping, SharedGroupByScan, phase_bounds, score_buckets
 from ..model.groups import RatingGroup, SelectionCriteria
 from ..obs import span as obs_span
 from ..resilience.deadline import check_deadline
-from .interestingness import CriterionScores, InterestingnessScorer
+from .interestingness import InterestingnessScorer
 from .rating_maps import RatingMap, RatingMapSpec, rating_map_from_counts
 from .utility import (
     ScoredCandidate,
@@ -151,7 +156,7 @@ def finalize_from_counts(
     k_prime: int,
     pruned: Sequence[RatingMapSpec] = (),
     phases_run: int = 1,
-    raw_scores: Mapping[RatingMapSpec, CriterionScores] | None = None,
+    kernel: bool = False,
 ) -> PhasedExecutionResult:
     """Score and rank candidate maps from their final histogram matrices.
 
@@ -161,20 +166,31 @@ def finalize_from_counts(
     — a phased scan, a fused candidate cube, or delta maintenance.
     ``counts_of``/``labels_of`` supply each spec's matrix and subgroup
     labels; both the phased executor and :mod:`repro.index` route here.
+    ``counts_of`` is called once per spec.
 
-    ``raw_scores`` lets a caller that already holds the raw criterion
-    scores (the batched family kernel of :mod:`repro.batch`) inject them
-    instead of re-running the scorer; they must equal what ``scorer``
-    would produce from ``counts_of`` — everything downstream (normalise,
-    rank, materialise) is shared either way.
+    With ``kernel`` (valid only where ``supports_batch`` holds for the
+    configuration behind ``scorer`` and ``utility_config``) every spec is
+    one column of a one-candidate family and one
+    :func:`~repro.batch.kernel.batch_family_scores` pass gives all raw
+    criterion scores, bit for bit those ``scorer`` would give.
     """
-    if raw_scores is not None:
-        raw = {spec: raw_scores[spec] for spec in specs}
+    matrices = {spec: counts_of(spec) for spec in specs}
+    if kernel:
+        family = _kernel_family(
+            list(matrices.values()),
+            group_size,
+            seen_probabilities(seen),
+            utility_config,
+        )
+        raw = {
+            spec: family.criterion_scores(0, j)
+            for j, spec in enumerate(matrices)
+        }
     else:
         seen_pooled = seen.pooled_distributions()
         raw = {
-            spec: scorer.score(counts_of(spec), group_size, seen_pooled)
-            for spec in specs
+            spec: scorer.score(counts, group_size, seen_pooled)
+            for spec, counts in matrices.items()
         }
     dimension_of = {spec: spec.dimension for spec in raw}
     attribute_of = {spec: (spec.side, spec.attribute) for spec in raw}
@@ -187,9 +203,12 @@ def finalize_from_counts(
     )
     ranked: list[RatingMap] = []
     for spec in order[:k_prime]:
-        counts = np.array(counts_of(spec))
         rating_map = rating_map_from_counts(
-            spec, criteria, counts, labels_of(spec), group_size
+            spec,
+            criteria,
+            np.array(matrices[spec]),
+            labels_of(spec),
+            group_size,
         )
         if rating_map.is_informative:
             ranked.append(rating_map)
@@ -198,6 +217,22 @@ def finalize_from_counts(
         scores=final_scores,
         pruned=tuple(pruned),
         phases_run=phases_run,
+    )
+
+
+def _kernel_family(
+    matrices: Sequence[np.ndarray],
+    group_size: int,
+    seen_probs: "np.ndarray | None",
+    utility_config: UtilityConfig,
+) -> "FamilyScores":
+    """One fused pass: each matrix is a column of a one-candidate family."""
+    return batch_family_scores(
+        [matrix[None] for matrix in matrices],
+        np.array([group_size], dtype=np.int64),
+        seen_probs,
+        max(1, int(utility_config.min_support)),
+        utility_config.global_use_min,
     )
 
 
@@ -244,11 +279,8 @@ class PhasedExecution:
         self._scorer = scorer
         self._n_phases = max(1, int(n_phases))
         self._kernel = kernel
-        pooled = seen.pooled_distributions()
-        self._seen_pooled = pooled
-        self._seen_probs = (
-            np.stack([q.probabilities() for q in pooled]) if pooled else None
-        )
+        self._seen_pooled = seen.pooled_distributions()
+        self._seen_probs = seen_probabilities(seen)
         dim_weights = dimension_weights(seen.dimension_history(), seen.dimensions)
         self._weight = {
             spec: candidate_weight(
@@ -305,16 +337,6 @@ class PhasedExecution:
     def _active_specs(self) -> tuple[RatingMapSpec, ...]:
         return tuple(s for s in self._specs if s in self._active)
 
-    def _kernel_scores(self, specs: Sequence[RatingMapSpec]) -> "FamilyScores":
-        """One fused pass: each spec is a column of a one-candidate family."""
-        return batch_family_scores(
-            [self._counts_of(spec)[None] for spec in specs],
-            np.array([len(self._group)], dtype=np.int64),
-            self._seen_probs,
-            max(1, int(self._config.min_support)),
-            self._config.global_use_min,
-        )
-
     def _snapshot(self, phase: int, n_phases: int) -> PhaseSnapshot:
         specs = self._active_specs()
         if not self._kernel:
@@ -334,7 +356,12 @@ class PhasedExecution:
             return PhaseSnapshot(
                 phase, n_phases, self._rows_seen, len(self._group), scores
             )
-        family = self._kernel_scores(specs)
+        family = _kernel_family(
+            [self._counts_of(spec) for spec in specs],
+            len(self._group),
+            self._seen_probs,
+            self._config,
+        )
         normalized = batch_family_normalized(family, self._config)
         weights = np.array([self._weight[spec] for spec in specs])
         dw = batch_family_dw(family, weights, self._config, normalized)
@@ -394,16 +421,8 @@ class PhasedExecution:
                     pruned=len(self._pruned),
                 )
 
-        survivors = self._active_specs()
-        raw_scores = None
-        if self._kernel and survivors:
-            family = self._kernel_scores(survivors)
-            raw_scores = {
-                spec: family.criterion_scores(0, j)
-                for j, spec in enumerate(survivors)
-            }
         return finalize_from_counts(
-            survivors,
+            self._active_specs(),
             self._counts_of,
             lambda spec: self._labels[(spec.side, spec.attribute)],
             self._group.criteria,
@@ -414,5 +433,5 @@ class PhasedExecution:
             k_prime,
             pruned=self._pruned,
             phases_run=phases_run,
-            raw_scores=raw_scores,
+            kernel=self._kernel,
         )

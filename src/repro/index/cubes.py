@@ -148,6 +148,8 @@ class StepSlices:
         self._flight = KeyedSingleFlight()
         #: attr key → (codes+1 sliced, n_groups, labels)
         self._codes1: dict[_AttrKey, tuple[np.ndarray, int, tuple]] = {}
+        #: (side, attribute, dim) → the parent's (n_groups, scale) histogram
+        self._group: dict[tuple[Side, str, str], np.ndarray] = {}
         #: dim → extended buckets sliced (0..scale-1 real, scale = trash)
         self._buckets: dict[str, np.ndarray] = {}
         #: (attr key a, attr key b, dim) → (n_a+1, n_b+1, scale+1) joint
@@ -329,14 +331,13 @@ class StepSlices:
             # same side: both codes are functions of the entity
             f1e, nf = self.entity_codes1(*first)
             g1e, ng = self.entity_codes1(*second)
-            fg_e = f1e * (ng + 1) + g1e
-            keys = (fg_e[:, None] * (scale + 1) + np.arange(scale + 1)).ravel()
-            cells = (nf + 1) * (ng + 1) * (scale + 1)
+            keys = self._entity_keys(f1e * (ng + 1) + g1e)
 
             def build_same(dim: str) -> np.ndarray:
-                weights = self.entity_hist(side_a, dim).ravel()
-                flat = np.bincount(keys, weights=weights, minlength=cells)
-                return flat.astype(np.int64).reshape(nf + 1, ng + 1, scale + 1)
+                flat = self._entity_bincount(
+                    keys, side_a, dim, (nf + 1) * (ng + 1)
+                )
+                return flat.reshape(nf + 1, ng + 1, scale + 1)
 
             return build_same
         if side_a is not side_b:
@@ -392,15 +393,71 @@ class StepSlices:
 
     # -- histograms ---------------------------------------------------------
     def group_hist(self, spec: RatingMapSpec) -> np.ndarray:
-        """The parent's own ``(n_groups, scale)`` histogram for one spec."""
-        codes1, n_groups, __ = self.codes1(spec.side, spec.attribute)
-        buckets = self.buckets(spec.dimension)
-        scale = self._scale
+        """The parent's own ``(n_groups, scale)`` histogram for one spec.
+
+        Built for every rating dimension of the spec's attribute at once,
+        like :meth:`pair_hist`.  Where the spec's side has few entities,
+        the histograms aggregate :meth:`entity_hist` — one row pass per
+        (side, dimension) then serves every attribute of the side.
+        Otherwise each is one ``bincount`` over the parent rows, and the
+        attribute's ``int64`` key is built once for all of them.
+        """
+        key = (spec.side, spec.attribute, spec.dimension)
+        with self._lock:
+            hist = self._group.get(key)
+        if hist is not None:
+            return hist
+        side, attribute, scale = spec.side, spec.attribute, self._scale
+        with self._flight.lock(("group", side, attribute)):
+            with self._lock:
+                hist = self._group.get(key)
+            if hist is not None:
+                return hist
+            if self._entity_cheap(side):
+                codes1e, n_groups = self.entity_codes1(side, attribute)
+                keys = self._entity_keys(codes1e)
+
+                def build(dim: str) -> np.ndarray:
+                    return self._entity_bincount(keys, side, dim, n_groups + 1)
+
+            else:
+                codes1, n_groups, __ = self.codes1(side, attribute)
+                keys = np.multiply(codes1, scale + 1, dtype=np.int64)
+
+                def build(dim: str) -> np.ndarray:
+                    return np.bincount(
+                        keys + self.buckets(dim),
+                        minlength=(n_groups + 1) * (scale + 1),
+                    )
+
+            built = {
+                (side, attribute, dim): build(dim).reshape(
+                    n_groups + 1, scale + 1
+                )[1:, :scale]
+                for dim in self._db.dimensions
+            }
+            with self._lock:
+                self._group.update(built)
+                return self._group[key]
+
+    def _entity_keys(self, codes1e: np.ndarray) -> np.ndarray:
+        """Flat (entity code, bucket) keys over an entity histogram's cells."""
+        width = self._scale + 1
+        return (codes1e[:, None] * width + np.arange(width)).ravel()
+
+    def _entity_bincount(
+        self, keys: np.ndarray, side: Side, dimension: str, n_codes: int
+    ) -> np.ndarray:
+        """Sum :meth:`entity_hist` cells into ``n_codes * (scale+1)`` bins.
+
+        A float64 bincount of integer weights is exact below 2^53, so the
+        ``int64`` result equals a row-level bincount bit for bit.
+        """
+        weights = self.entity_hist(side, dimension).ravel()
         flat = np.bincount(
-            np.multiply(codes1, scale + 1, dtype=np.int64) + buckets,
-            minlength=(n_groups + 1) * (scale + 1),
+            keys, weights=weights, minlength=n_codes * (self._scale + 1)
         )
-        return flat.reshape(n_groups + 1, scale + 1)[1:, :scale]
+        return flat.astype(np.int64)
 
     def pair_hist(self, a: _AttrKey, b: _AttrKey, dimension: str) -> np.ndarray:
         """Joint ``(n_a+1, n_b+1, scale+1)`` histogram, oriented a-first.

@@ -14,6 +14,7 @@ import pytest
 
 from repro import SubDEx, SubDExConfig
 from repro.anytime import QualityLadder, QualityRung
+from repro.core.distance import MapDistanceMethod
 from repro.core.normalization import NormalizationStrategy
 from repro.core.recommend import RecommenderConfig
 from repro.core.utility import SeenMaps
@@ -157,6 +158,27 @@ def test_uncovered_utility_config_falls_back(batch_db_factory):
     batched = SubDEx(batch_db_factory(seed=4, name="ablate"), config(True))
     oracle = naive.recommend(o=5)
     assert not diff_recommendations(oracle, batched.recommend(o=5))
+    assert batched.recommender.batch_stats()["requests"] == 0
+
+
+@pytest.mark.parametrize(
+    "method", [MapDistanceMethod.POOLED, MapDistanceMethod.NESTED]
+)
+def test_uncovered_distance_method_falls_back(batch_db_factory, method):
+    """The batched evaluation replays GMM on PROFILE distances only, so
+    other map distances take the per-candidate path and stay correct."""
+    def config(use_index):
+        base = SubDExConfig(
+            use_index=use_index,
+            recommender=RecommenderConfig(max_values_per_attribute=3),
+        )
+        return replace(
+            base, generator=replace(base.generator, distance_method=method)
+        )
+
+    naive = SubDEx(batch_db_factory(seed=4, missing=0.2, name="dist"), config(False))
+    batched = SubDEx(batch_db_factory(seed=4, missing=0.2, name="dist"), config(True))
+    assert not diff_recommendations(naive.recommend(o=5), batched.recommend(o=5))
     assert batched.recommender.batch_stats()["requests"] == 0
 
 

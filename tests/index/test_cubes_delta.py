@@ -35,6 +35,63 @@ def test_group_hist_equals_direct_scan(fixture, request):
         )
 
 
+#: database shapes for the two ``group_hist`` branches: an entity side
+#: aggregates when ``n_entities * (scale + 1) <= rows``.  "few-items" has
+#: far fewer items than rows and more reviewers than rows; "few-reviewers"
+#: the reverse.
+HIST_SHAPES = {
+    "few-items": dict(n_users=900, n_items=6, n_ratings=1200),
+    "few-reviewers": dict(n_users=10, n_items=700, n_ratings=1200),
+}
+
+
+def _hist_group(db, group: str) -> SelectionCriteria:
+    """One group of each shape over a :func:`make_db` database."""
+    if group == "one-pair":
+        return SelectionCriteria.of(reviewer={"gender": "F"})
+    if group == "multi-valued":  # the most common cuisine, so never empty
+        cuisine = db.items.column("cuisine")
+        flat, __ = cuisine.membership()
+        top = int(np.bincount(flat).argmax())
+        return SelectionCriteria.of(item={"cuisine": cuisine.members[top]})
+    if group == "empty":
+        return SelectionCriteria.of(item={"city": "Atlantis"})
+    return SelectionCriteria.root()
+
+
+@pytest.mark.parametrize("group", ["root", "one-pair", "multi-valued", "empty"])
+@pytest.mark.parametrize("branch", ["entity", "rows", "natural"])
+@pytest.mark.parametrize("shape", list(HIST_SHAPES))
+def test_group_hist_branches_equal_direct_scan(
+    db_factory, monkeypatch, shape, branch, group
+):
+    """Entity-aggregated and row-level histograms equal a direct scan.
+
+    ``branch`` forces either side of the ``_entity_cheap`` choice, or
+    leaves it to the shape; missing values, NaN scores, the multi-valued
+    cuisine attribute and an empty group are all covered.
+    """
+    db = db_factory(seed=5, missing=0.3, name=shape, **HIST_SHAPES[shape])
+    rows = RatingGroup(db, _hist_group(db, group)).rows
+    assert (rows.size == 0) == (group == "empty")
+    slices = StepSlices(db, rows)
+    if group == "root" and branch == "natural":
+        few, many = (
+            (Side.ITEM, Side.REVIEWER)
+            if shape == "few-items"
+            else (Side.REVIEWER, Side.ITEM)
+        )
+        assert slices._entity_cheap(few) and not slices._entity_cheap(many)
+    if branch != "natural":
+        monkeypatch.setattr(
+            slices, "_entity_cheap", lambda side: branch == "entity"
+        )
+    for spec in enumerate_map_specs(db, SelectionCriteria.root()):
+        hist = slices.group_hist(spec)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist, direct_counts(db, spec, rows)), spec
+
+
 @pytest.mark.parametrize("fixture", ["clean_db", "sparse_db"])
 @pytest.mark.parametrize(
     "side,attribute",
