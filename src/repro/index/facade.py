@@ -165,9 +165,8 @@ class NeighborhoodContext:
         self._slices = StepSlices(
             self._db, self._parent_rows, on_pair_build=self._on_pair_build
         )
-        #: everything built lazily for the step, by key: the parent's
-        #: histograms and the family sources (``None`` = over budget or not
-        #: servable — the candidate takes the posting path)
+        #: the family sources built lazily for the step, by key (``None`` =
+        #: over budget or not servable — the candidate takes the posting path)
         self._sources: dict[tuple, Any] = {}
 
     @property
@@ -180,9 +179,7 @@ class NeighborhoodContext:
 
     def parent_counts(self, spec: RatingMapSpec) -> np.ndarray:
         """The parent group's histogram matrix for ``spec`` (cached)."""
-        return self._source(
-            ("parent", spec), lambda: self._slices.group_hist(spec)
-        )
+        return self._slices.group_hist(spec)
 
     def _child_specs(self, side: Side, attribute: str) -> tuple[RatingMapSpec, ...]:
         """Specs of a FILTER child on ``attribute`` — the parent's minus it.
