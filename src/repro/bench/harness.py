@@ -209,11 +209,12 @@ def report(
 
     When ``metrics`` is given, a schema-valid machine-readable
     ``BENCH_<name>.json`` (see :mod:`repro.perf.benchjson`) is written
-    next to the ``.txt``: the input to ``scripts/check_regression.py`` and
-    the repo's perf trajectory.  Plain floats become non-portable
+    next to the ``.txt``.  Plain floats become non-portable
     lower-is-better seconds; pass :class:`~repro.perf.benchjson.Metric`
     for ratios/scores (portable) or paper-reproduction values
-    (``higher_is_better=None`` — informational, never gated).
+    (``higher_is_better=None`` — informational).  The bench's own asserts
+    decide pass/fail; ``docs/PERFORMANCE.md`` lists where each claim is
+    checked.
     """
     directory = Path(os.environ.get("REPRO_BENCH_RESULTS", "benchmarks/results"))
     directory.mkdir(parents=True, exist_ok=True)

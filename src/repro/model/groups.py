@@ -79,8 +79,15 @@ class SelectionCriteria:
         return self._pairs
 
     def side_pairs(self, side: Side) -> dict[str, Any]:
+        """``{attribute: value}`` of one side, in attribute order.
+
+        Sorted like :meth:`__iter__`: the frozenset's own order follows
+        the process's hash seed, and callers serialise this dict as is.
+        """
         return {
-            p.attribute: p.value for p in self._pairs if p.side is side
+            p.attribute: p.value
+            for p in sorted(self._pairs)
+            if p.side is side
         }
 
     def attributes(self, side: Side | None = None) -> frozenset[tuple[Side, str]]:

@@ -10,13 +10,12 @@ Three pillars, layered on :mod:`repro.obs` (ISSUE 5):
   aggregates finished spans into per-operation inclusive/exclusive time,
   call counts and p50/p95 tables; behind ``GET /debug/spans/summary``
   and span-cost families on the metrics registry;
-* :mod:`repro.perf.benchjson` + :mod:`repro.perf.regression` — the
-  unified ``BENCH_<name>.json`` benchmark result schema, the best-of-k
-  merge, and the baseline regression gate behind
-  ``scripts/check_regression.py``.
+* :mod:`repro.perf.benchjson` — the ``BENCH_<name>.json`` result schema
+  every ``benchmarks/bench_*.py`` writes next to its ``.txt`` report.
 
-See ``docs/PERFORMANCE.md`` for the schema and the regression-gate
-workflow, ``docs/OBSERVABILITY.md`` for the profiling endpoints.
+See ``docs/PERFORMANCE.md`` for the schema and for where each
+performance claim is checked, ``docs/OBSERVABILITY.md`` for the
+profiling endpoints.
 """
 
 from .benchjson import (
@@ -26,7 +25,6 @@ from .benchjson import (
     env_fingerprint,
     git_sha,
     load_results_dir,
-    merge_best,
     validate_bench_result,
     write_bench_json,
 )
@@ -37,30 +35,19 @@ from .profiler import (
     merge_profiles,
     profile_for,
 )
-from .regression import (
-    Comparison,
-    RegressionReport,
-    compare_dirs,
-    compare_results,
-)
 from .spanstats import SpanStatsSink, tree_costs
 
 __all__ = [
     "BenchResult",
-    "Comparison",
     "Metric",
     "Profile",
-    "RegressionReport",
     "SCHEMA_VERSION",
     "SamplingProfiler",
     "SpanStatsSink",
-    "compare_dirs",
-    "compare_results",
     "env_fingerprint",
     "filter_stacks",
     "git_sha",
     "load_results_dir",
-    "merge_best",
     "merge_profiles",
     "profile_for",
     "tree_costs",

@@ -1,10 +1,9 @@
 """The unified benchmark result schema: ``BENCH_<name>.json``.
 
 Every ``benchmarks/bench_*.py`` script reports a human-readable ``.txt``
-table *and* a machine-readable JSON result with a fixed schema, so the
-repository accumulates a comparable perf trajectory instead of free-form
-prints (IDEBench's argument: interactive-system results must be
-standardized and machine-comparable to mean anything across runs).
+table *and* a machine-readable JSON result with a fixed schema instead
+of free-form prints (IDEBench's argument: interactive-system results must
+be standardized and machine-comparable to mean anything across runs).
 
 Schema (version 1)::
 
@@ -26,12 +25,11 @@ Schema (version 1)::
       }
     }
 
-``higher_is_better`` drives the regression gate's direction; ``null``
-marks an informational metric the gate never compares.  ``portable``
-marks machine-independent metrics (speedup ratios, accuracy scores,
-counts) that remain comparable across hosts — CI gates on those only,
-since absolute wall-clock times from different machines are not
-comparable.
+``higher_is_better`` records which direction is better; ``null`` marks
+an informational metric.  ``portable`` marks machine-independent metrics
+(speedup ratios, accuracy scores, counts) that remain comparable across
+hosts, unlike absolute wall-clock times.  A bench's pass/fail verdict is
+its own asserts; the JSON is the record of what it measured.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ __all__ = [
     "env_fingerprint",
     "git_sha",
     "load_results_dir",
-    "merge_best",
     "validate_bench_result",
     "write_bench_json",
 ]
@@ -69,9 +66,9 @@ BENCH_FILE_PREFIX = "BENCH_"
 class Metric:
     """One measured quantity of a benchmark run.
 
-    ``higher_is_better=None`` marks an informational metric: recorded for
-    the trajectory, never gated (e.g. a paper-reproduction score whose
-    drift in *either* direction needs a human eye).  ``portable=True``
+    ``higher_is_better=None`` marks an informational metric with no
+    better direction (e.g. a paper-reproduction score whose drift in
+    *either* direction needs a human eye).  ``portable=True``
     marks values comparable across machines (ratios, rates, counts);
     absolute wall-clock metrics should leave it ``False``.
     """
@@ -179,8 +176,7 @@ def validate_bench_result(payload: Any) -> list[str]:
     """Schema-check one ``BENCH_*.json`` payload; returns problem strings.
 
     An empty list means the payload is valid.  Used by the schema tests,
-    ``scripts/check_regression.py`` (a malformed current result is itself
-    a failure) and :func:`load_results_dir`.
+    :func:`write_bench_json` and :func:`load_results_dir`.
     """
     errors: list[str] = []
     if not isinstance(payload, Mapping):
@@ -256,7 +252,7 @@ def write_bench_json(
     )
     payload = result.to_dict()
     errors = validate_bench_result(payload)
-    if errors:  # a writer bug must fail the bench, not poison the trajectory
+    if errors:  # a writer bug must fail the bench, not leave a bad file
         raise ValueError(f"refusing to write invalid result: {errors}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -275,7 +271,7 @@ def load_results_dir(
 
     Returns ``(results_by_name, problems_by_filename)`` — unparseable or
     schema-invalid files land in the second map instead of raising, so a
-    regression check can report *all* broken files at once.
+    caller can report *all* broken files at once.
     """
     results: dict[str, BenchResult] = {}
     problems: dict[str, list[str]] = {}
@@ -293,39 +289,3 @@ def load_results_dir(
         result = BenchResult.from_dict(payload)
         results[result.name] = result
     return results, problems
-
-
-def merge_best(runs: list[BenchResult]) -> BenchResult:
-    """Best-of-k merge of repeated runs of ONE benchmark.
-
-    Per metric: the minimum for lower-is-better, the maximum for
-    higher-is-better, the **last** observation for informational metrics
-    (direction ``None`` means "best" is undefined).  Best-of-k is the
-    standard noise defence for wall-clock benchmarks: the minimum of k
-    runs estimates the noise floor, which is what a regression gate
-    should compare.
-    """
-    if not runs:
-        raise ValueError("merge_best needs at least one run")
-    merged = dict(runs[-1].metrics)
-    for run in runs[:-1]:
-        for key, metric in run.metrics.items():
-            current = merged.get(key)
-            if current is None:
-                merged[key] = metric
-            elif metric.higher_is_better is True:
-                if metric.value > current.value:
-                    merged[key] = metric
-            elif metric.higher_is_better is False:
-                if metric.value < current.value:
-                    merged[key] = metric
-            # informational (None): keep the last run's value
-    last = runs[-1]
-    return BenchResult(
-        name=last.name,
-        metrics=merged,
-        config=dict(last.config, best_of=len(runs)),
-        git_sha=last.git_sha,
-        created_at=last.created_at,
-        env=last.env,
-    )

@@ -5,9 +5,9 @@ interactivity promise: per-endpoint-class objectives (:mod:`.spec`),
 lock-cheap 1m/5m/1h ring-buffer windows (:mod:`.windows`) fed from the
 request envelope path, and a tracker (:mod:`.tracker`) exposing
 ``GET /slo`` scorecards, ``subdex_slo_*`` Prometheus families and
-burn-rate threshold events.  The macro-workload driver
-(:mod:`repro.workload`) recomputes the same numbers offline from its own
-request log — the two must agree, and the macro bench asserts it.
+burn-rate threshold events.  ``tests/cluster/test_slo_crosscheck.py``
+recomputes the same numbers offline from a client's request log with a
+fresh :class:`SLOTracker` and asserts they equal ``GET /slo``.
 """
 
 from .spec import (

@@ -17,14 +17,13 @@ The latency objective is expressed as a *quantile promise*: ``p95 ≤
 800 ms`` is exactly "≥ 95% of requests finish within 800 ms", so the
 tracker only needs a within-budget counter, never a quantile estimate —
 and the same counter arithmetic reproduces offline from a request log,
-which is how the macro-workload bench cross-checks ``GET /slo``.
+which is how ``tests/cluster/test_slo_crosscheck.py`` cross-checks
+``GET /slo``.
 
 Everything that turns raw counts into scorecard numbers lives in
-:func:`evaluate_counts` / :func:`burn_rate`, shared by the live tracker,
-the cluster fleet aggregation and the offline recomputation in
-:mod:`repro.workload.report` — one implementation, three call sites, so
-the acceptance comparison is a genuine consistency check rather than two
-copies of the same bug.
+:func:`evaluate_counts` / :func:`burn_rate`, shared by the live tracker
+and the cluster fleet aggregation — one implementation, so a fleet
+scorecard cannot drift from a single-process one.
 """
 
 from __future__ import annotations

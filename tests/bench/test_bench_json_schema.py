@@ -1,9 +1,12 @@
 """End-to-end schema validation of real benchmark BENCH_*.json output.
 
-Runs three fast benchmarks as subprocesses at tiny scales (the same path
-``scripts/bench_all.py`` takes) and validates every emitted JSON file
-against the schema — the benches' *own* metric wiring is what's under
-test, not the schema validator.
+Runs three fast benchmarks as subprocesses at a reduced scale (0.05, 2
+subjects) and validates every emitted JSON file against the schema — the
+benches' *own* metric wiring is what's under test, not the schema
+validator.  A failing bench assert fails the fixture, so this is also
+where the sharing (identical histograms, shared ≤ 1.1× unshared),
+sampling (full sample agrees, 10% sample ≥ 0.8) and caching (≥ 4 hits,
+warm ≤ cold) claims run in tier-1.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from repro.perf.benchjson import BENCH_FILE_PREFIX
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: name reported by the bench -> its file (fast ones only; the full
-#: suite's schema coverage is scripts/bench_all.py's job)
+#: name reported by the bench -> its file (fast ones only; the slow
+#: benches run in their own CI jobs)
 FAST_BENCHES = {
     "ablation_sharing": "bench_ablation_sharing.py",
     "ablation_sampling": "bench_ablation_sampling.py",
@@ -90,7 +93,7 @@ def test_loader_round_trip(bench_results):
 
 
 def test_portable_metrics_present_for_gating(bench_results):
-    """Each fast bench must expose >=1 portable gated metric for CI."""
+    """Each fast bench must expose >=1 portable metric with a direction."""
     results, __ = load_results_dir(bench_results)
     for name, result in results.items():
         gated = [

@@ -1,5 +1,10 @@
 """Tests for repro.model.groups (criteria + rating groups)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import OperationError
@@ -82,6 +87,43 @@ class TestSelectionCriteria:
             if reviewer_mask[i]
         ]
         assert genders and all(g == "F" for g in genders)
+
+    def test_serialised_pair_order_ignores_hash_seed(self):
+        # criteria_to_json and the history log print a side's pairs as
+        # side_pairs returns them; the bytes must not follow the hash seed
+        script = """
+import json
+from types import SimpleNamespace
+from repro.core.history import ExplorationLog
+from repro.core.modes import ExplorationMode, ExplorationPath
+from repro.model import SelectionCriteria
+from repro.server.protocol import criteria_to_json
+criteria = SelectionCriteria.of(
+    reviewer={"gender": "F", "age": "18-24"},
+    item={"city": "NYC", "cuisine": "Sushi"},
+)
+step = SimpleNamespace(
+    index=0, criteria=criteria, result=SimpleNamespace(selected=()),
+    group_size=0, operation=None, elapsed_seconds=0.0,
+)
+log = ExplorationLog.from_path(
+    ExplorationPath(ExplorationMode.USER_DRIVEN, (step,)), dataset="x"
+)
+print(json.dumps(criteria_to_json(criteria)))
+print(json.dumps(log.to_dict()))
+"""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outputs.add(completed.stdout)
+        assert len(outputs) == 1, sorted(outputs)
 
 
 class TestRatingGroup:

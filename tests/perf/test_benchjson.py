@@ -1,4 +1,4 @@
-"""Tests for the BENCH_*.json schema: write, validate, load, merge."""
+"""Tests for the BENCH_*.json schema: write, validate, load."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.perf import (
     BenchResult,
     Metric,
     load_results_dir,
-    merge_best,
     validate_bench_result,
     write_bench_json,
 )
@@ -114,32 +113,3 @@ class TestLoadResultsDir:
         assert set(problems) == {"BENCH_corrupt.json", "BENCH_invalid.json"}
         assert any("unreadable" in e for e in problems["BENCH_corrupt.json"])
 
-
-class TestMergeBest:
-    def _run(self, lower: float, higher: float, info: float) -> BenchResult:
-        return BenchResult(
-            name="bench",
-            metrics={
-                "elapsed": Metric(lower, higher_is_better=False),
-                "rate": Metric(higher, higher_is_better=True),
-                "note": Metric(info, higher_is_better=None),
-            },
-            config={"scale": 1},
-        )
-
-    def test_direction_aware_merge(self):
-        merged = merge_best(
-            [
-                self._run(2.0, 10.0, 1.0),
-                self._run(1.5, 12.0, 2.0),
-                self._run(3.0, 8.0, 3.0),
-            ]
-        )
-        assert merged.metrics["elapsed"].value == 1.5  # min of lower-better
-        assert merged.metrics["rate"].value == 12.0  # max of higher-better
-        assert merged.metrics["note"].value == 3.0  # last informational
-        assert merged.config["best_of"] == 3
-
-    def test_requires_at_least_one_run(self):
-        with pytest.raises(ValueError):
-            merge_best([])
