@@ -20,14 +20,11 @@ from .sde_benchmark import (
 )
 from .workloads import (
     bench_database,
-    bench_engine,
     bench_recommender_config,
     bench_scale,
     bench_subjects,
     restrict_attribute_count,
     restrict_value_count,
-    scenario1_task,
-    scenario2_task,
 )
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "Sweep",
     "Timer",
     "bench_database",
-    "bench_engine",
     "bench_recommender_config",
     "bench_scale",
     "bench_subjects",
@@ -51,7 +47,5 @@ __all__ = [
     "report",
     "restrict_attribute_count",
     "restrict_value_count",
-    "scenario1_task",
-    "scenario2_task",
     "time_call",
 ]

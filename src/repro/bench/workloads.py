@@ -1,7 +1,7 @@
 """Shared benchmark workloads.
 
 Every ``benchmarks/`` file needs the same ingredients: a dataset at a
-CI-friendly scale, a Scenario-I task over it, and an engine per variant.
+CI-friendly scale and the recommender bounds that keep it interactive.
 Centralising them keeps the per-bench files about *what* they measure.
 
 Scales are configurable through environment variables so the same files
@@ -16,24 +16,14 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from ..core.engine import SubDEx, SubDExConfig
 from ..core.recommend import RecommenderConfig
 from ..datasets import movielens, yelp
 from ..model.database import SubjectiveDatabase
-from ..userstudy.tasks import (
-    ScenarioIITask,
-    ScenarioITask,
-    make_scenario1_task,
-    make_scenario2_task,
-)
 
 __all__ = [
     "bench_scale",
     "bench_subjects",
     "bench_database",
-    "bench_engine",
-    "scenario1_task",
-    "scenario2_task",
     "bench_recommender_config",
 ]
 
@@ -64,27 +54,6 @@ def bench_database(name: str, seed: int = 2) -> SubjectiveDatabase:
     if name == "yelp":
         return yelp(seed=seed, scale_factor=scale)
     raise KeyError(f"unknown bench dataset {name!r}")
-
-
-def bench_engine(
-    database: SubjectiveDatabase, config: SubDExConfig | None = None
-) -> SubDEx:
-    """An engine over ``database`` with the bench recommender bounds."""
-    if config is None:
-        config = SubDExConfig(recommender=bench_recommender_config())
-    return SubDEx(database, config)
-
-
-@lru_cache(maxsize=8)
-def scenario1_task(name: str, seed: int = 5) -> ScenarioITask:
-    """A cached Scenario-I task (irregular groups injected) per dataset."""
-    return make_scenario1_task(bench_database(name), seed=seed)
-
-
-@lru_cache(maxsize=8)
-def scenario2_task(name: str) -> ScenarioIITask:
-    """A cached Scenario-II task (ground-truth insights) per dataset."""
-    return make_scenario2_task(bench_database(name))
 
 
 def restrict_attribute_count(

@@ -39,6 +39,7 @@ __all__ = [
     "SharedGroupByScan",
     "build_grouping",
     "group_histograms",
+    "narrowest",
     "phase_bounds",
     "phase_slices",
     "score_buckets",
@@ -112,14 +113,14 @@ def group_histograms(
     return flat.reshape(n_groups, scale)
 
 
-def _narrow(values: np.ndarray, top: int) -> np.ndarray:
+def narrowest(values: np.ndarray, top: int) -> np.ndarray:
     """``values`` (all in ``0..top``) in the narrowest unsigned dtype."""
     return values.astype(np.min_scalar_type(top))
 
 
 def shifted_codes(codes: np.ndarray, n_groups: int) -> np.ndarray:
     """Subgroup codes shifted by one: missing ``-1`` becomes trash code 0."""
-    return _narrow(codes + 1, n_groups)
+    return narrowest(codes + 1, n_groups)
 
 
 def score_buckets(scores: np.ndarray, scale: int) -> np.ndarray:
@@ -131,7 +132,7 @@ def score_buckets(scores: np.ndarray, scale: int) -> np.ndarray:
     """
     with np.errstate(invalid="ignore"):
         valid = np.isfinite(scores) & (scores >= 1) & (scores <= scale)
-    return _narrow(np.where(valid, scores, scale + 1.0).astype(np.int64) - 1, scale)
+    return narrowest(np.where(valid, scores, scale + 1.0).astype(np.int64) - 1, scale)
 
 
 class HistogramAccumulator:

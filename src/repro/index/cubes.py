@@ -12,10 +12,12 @@ single scan.  FILTER candidates admit two further sharing axes:
   attribute a's cube slice grouped by b also provides, transposed,
   attribute b's cube slice grouped by a.
 
-:class:`StepSlices` owns the per-recommendation-step state: the parent
-rows' attribute codes and score buckets (sliced once, shared by every
-cube) and the joint pair histograms (built once per unordered attribute
-pair per dimension, under single-flight locks).  Missing codes and
+:class:`StepSlices` owns the scan state of one group: its rows'
+attribute codes and score buckets (sliced once, shared by every cube) and
+the joint pair histograms (built once per unordered attribute pair per
+dimension, under single-flight locks).  A step's slices live as long as
+the step, except the root group's, which the index keeps (see
+:meth:`~repro.index.facade.IndexedDatabase.step_slices`).  Missing codes and
 out-of-scale scores are routed to trash cells (row/column/bucket 0 or
 ``scale``) instead of being masked out, so each pass is a single
 streaming ``bincount`` with no boolean fancy-indexing; the trash cells
@@ -46,7 +48,7 @@ import numpy as np
 from ..concurrency import KeyedSingleFlight
 from ..core.rating_maps import RatingMapSpec
 from ..db.column import MultiValuedColumn
-from ..db.groupby import build_grouping, score_buckets, shifted_codes
+from ..db.groupby import build_grouping, narrowest, score_buckets, shifted_codes
 from ..db.types import ColumnType
 from ..model.database import Side, SubjectiveDatabase
 
@@ -128,10 +130,12 @@ class StepSlices:
     Attribute codes are stored shifted by one (missing ``-1`` → trash
     code ``0``) and score buckets extended by one (invalid → trash bucket
     ``scale``); the joint bincounts then run over every parent row with
-    no masking, and real counts live in cells ``[1:, 1:, :scale]``.  Both
-    are stored in the narrowest unsigned type that holds them (a step
-    keeps one array per attribute and dimension alive), so every key
-    product widens to ``int64`` explicitly.
+    no masking, and real counts live in cells ``[1:, 1:, :scale]``.  These,
+    the per-row entity indices and the entity-aggregation intermediates
+    are all stored in the narrowest unsigned type that holds them (a step
+    keeps one array per attribute and dimension alive, and the index
+    keeps the root's for good), so every key product widens to ``int64``
+    explicitly.
     """
 
     def __init__(
@@ -228,7 +232,10 @@ class StepSlices:
             cached = self._ent_rows.get(side)
         if cached is not None:
             return cached
-        built = self._db.entity_rows_for_ratings(side)[self._rows]
+        built = narrowest(
+            self._db.entity_rows_for_ratings(side)[self._rows],
+            self._entities(side) - 1,
+        )
         with self._lock:
             return self._ent_rows.setdefault(side, built)
 
@@ -269,7 +276,7 @@ class StepSlices:
                 return hist
             scale = self._scale
             n_ent = self._entities(side)
-            eb = self.entity_rows(side) * (scale + 1)
+            eb = np.multiply(self.entity_rows(side), scale + 1, dtype=np.int64)
             for dim in self._db.dimensions:
                 dim_key = (side, dim)
                 with self._lock:
@@ -279,7 +286,9 @@ class StepSlices:
                     eb + self.buckets(dim), minlength=n_ent * (scale + 1)
                 )
                 with self._lock:
-                    self._ent_hist[dim_key] = flat.reshape(n_ent, scale + 1)
+                    self._ent_hist[dim_key] = self._counts(flat).reshape(
+                        n_ent, scale + 1
+                    )
             with self._lock:
                 return self._ent_hist[key]
 
@@ -317,7 +326,7 @@ class StepSlices:
                         continue
                 flat = np.bincount(fe + self.buckets(dim), minlength=cells)
                 with self._lock:
-                    self._cross_m[dim_key] = flat.reshape(
+                    self._cross_m[dim_key] = self._counts(flat).reshape(
                         nf + 1, n_ent, scale + 1
                     )
             with self._lock:
@@ -439,6 +448,15 @@ class StepSlices:
             with self._lock:
                 self._group.update(built)
                 return self._group[key]
+
+    def _counts(self, flat: np.ndarray) -> np.ndarray:
+        """Row counts of this group in the narrowest type that holds them.
+
+        Only the entity-aggregation intermediates are stored narrowed:
+        they are read as ``bincount`` weights, which widen to float64 and
+        stay exact.  The histograms the scorers read stay ``int64``.
+        """
+        return narrowest(flat, self._rows.size)
 
     def _entity_keys(self, codes1e: np.ndarray) -> np.ndarray:
         """Flat (entity code, bucket) keys over an entity histogram's cells."""
@@ -655,13 +673,15 @@ class ContainmentFamily(_FamilySource):
         entities = slices.entity_rows(side)
         per_row = np.diff(offsets)[entities]
         first = np.cumsum(per_row) - per_row  # each row's first incidence
-        #: incidence k: parent-row position and member code
-        self._pos = np.repeat(np.arange(entities.size), per_row)
-        self._tags = flat[
-            np.arange(self._pos.size)
-            + np.repeat(offsets[entities] - first, per_row)
-        ]
+        pos = np.repeat(np.arange(entities.size), per_row)
         self.n_values = len(column.members)
+        #: incidence k: parent-row position and member code, in the
+        #: narrowest unsigned types (the index keeps the root's family)
+        self._pos = narrowest(pos, entities.size)
+        self._tags = narrowest(
+            flat[np.arange(pos.size) + np.repeat(offsets[entities] - first, per_row)],
+            self.n_values,
+        )
         self.sizes = np.bincount(self._tags, minlength=self.n_values)
         self._lock = threading.Lock()
         self._flight = KeyedSingleFlight()
@@ -703,7 +723,7 @@ class ContainmentFamily(_FamilySource):
                 return tensor
             scale = self._scale
             codes1, n_groups, __ = self._slices.codes1(*attr_key)
-            key = self._tags * (n_groups + 1)
+            key = np.multiply(self._tags, n_groups + 1, dtype=np.int64)
             key += codes1[self._pos]
             key *= scale + 1
             cells = self.n_values * (n_groups + 1) * (scale + 1)

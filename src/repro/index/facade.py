@@ -1,8 +1,9 @@
 """`IndexedDatabase`: the sufficient-statistic index behind the engine.
 
-The facade owns the posting-list store and hands the Recommendation
-Builder a per-step :class:`NeighborhoodContext` that serves every
-candidate operation's sufficient statistics by the cheapest exact route:
+The facade owns the posting-list store and the root group's counts, and
+hands the Recommendation Builder a per-step :class:`NeighborhoodContext`
+that serves every candidate operation's sufficient statistics by the
+cheapest exact route:
 
 * **FILTER cube** — a FILTER on a categorical/numeric attribute is one
   slice of a fused :class:`~repro.index.cubes.CandidateCube` over the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -58,7 +59,10 @@ __all__ = ["IndexedDatabase", "NeighborhoodContext"]
 class IndexedDatabase:
     """Index layer over one :class:`SubjectiveDatabase`.
 
-    ``memory_budget_bytes`` bounds the posting-list store;
+    Besides the posting lists it keeps the root group's scan state and
+    containment families (:meth:`step_slices`, :meth:`root_family`) for
+    its whole lifetime.  ``memory_budget_bytes`` bounds the posting-list
+    store;
     ``max_cube_cells`` caps the histogram cells of any one fused family —
     FILTER cube, sibling cube or group, containment family (a family that
     would exceed it falls back to the posting path — correctness never
@@ -76,16 +80,22 @@ class IndexedDatabase:
         self._max_cube_cells = int(max_cube_cells)
         self._axes: dict[tuple[Side, str], FilterAxis | None] = {}
         self._axes_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._counters = {
-            "cube_builds": 0,
-            "cube_bytes": 0,
-            "candidates_cube": 0,
-            "candidates_sibling": 0,
-            "candidates_containment": 0,
-            "candidates_delta": 0,
-            "candidates_direct": 0,
-        }
+        self._counters = _Counters(
+            "cube_builds",
+            "cube_bytes",
+            "candidates_cube",
+            "candidates_sibling",
+            "candidates_containment",
+            "candidates_delta",
+            "candidates_direct",
+        )
+        # a bound method of the counters, not of self: the kept root slices
+        # hold it, and a cycle back to the index would leave the index to
+        # the cyclic collector
+        self._on_pair_build = partial(self._counters.bump, "cube_bytes")
+        self._root_lock = threading.Lock()
+        self._root_slices: StepSlices | None = None
+        self._root_families = _BuildOnce()
 
     # -- plumbing -----------------------------------------------------------
     @property
@@ -101,14 +111,11 @@ class IndexedDatabase:
         return self._max_cube_cells
 
     def _bump(self, counter: str, by: int = 1) -> None:
-        with self._counter_lock:
-            self._counters[counter] += by
+        self._counters.bump(counter, by)
 
     def stats(self) -> dict[str, Any]:
         """Hit/bytes counters for `/metrics`."""
-        with self._counter_lock:
-            counters = dict(self._counters)
-        return {"postings": self._postings.stats(), **counters}
+        return {"postings": self._postings.stats(), **self._counters.snapshot()}
 
     # -- group materialisation ---------------------------------------------
     def rows_for(self, criteria: SelectionCriteria) -> np.ndarray:
@@ -137,14 +144,51 @@ class IndexedDatabase:
         """Per-step context for scoring ``parent``'s operation neighbourhood."""
         return NeighborhoodContext(self, parent)
 
+    # -- scan state ----------------------------------------------------------
+    def step_slices(
+        self, criteria: SelectionCriteria, rows: np.ndarray | None = None
+    ) -> StepSlices:
+        """The scan state of ``criteria``'s group (``rows``, if known).
+
+        The root's is built once and kept for the index's lifetime: every
+        session opens at the root, and every CHANGE out of a one-pair group
+        scans it as the sibling.  It holds only integer counts of a group
+        that never changes, filled lazily under its own single-flight
+        locks, so sharing it across steps and threads moves no answer.
+        Any other group's is fresh and lives as long as its step.
+        """
+        if criteria.pairs:
+            if rows is None:
+                rows = self.rows_for(criteria)
+            return StepSlices(self._db, rows, on_pair_build=self._on_pair_build)
+        with self._root_lock:
+            if self._root_slices is None:
+                self._root_slices = StepSlices(
+                    self._db,
+                    self.rows_for(criteria),
+                    on_pair_build=self._on_pair_build,
+                )
+            return self._root_slices
+
+    def root_family(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """A family over the kept root slices under ``key``, built once.
+
+        Kept here rather than on :class:`StepSlices`: a family holds its
+        slices, and a slices → family → slices cycle would keep every
+        step's histograms alive until the cyclic collector runs.
+        """
+        return self._root_families.get(key, build)
+
 
 class NeighborhoodContext:
     """Candidate statistics for one recommendation step.
 
     Cubes, sibling slices and the parent's own histograms are built
     lazily, once, under per-key single-flight locks — the Recommendation
-    Builder scores candidates from many threads at once.  Everything here
-    is request-scoped: it lives exactly as long as the step's scoring.
+    Builder scores candidates from many threads at once.  The context and
+    its families live as long as the step's scoring.  The scan state it
+    reads (:meth:`IndexedDatabase.step_slices`) does too, except the root
+    group's, which the index keeps with the root's containment families.
     """
 
     def __init__(self, index: IndexedDatabase, parent: RatingGroup) -> None:
@@ -157,17 +201,10 @@ class NeighborhoodContext:
             enumerate_map_specs(self._db, parent.criteria)
         )
         self._spec_set = frozenset(self._specs)
-        self._lock = threading.Lock()
-        self._flight = KeyedSingleFlight()
-        # a bound method of the index, not of self: sibling slices hold it,
-        # and a cycle back to the context would keep the step's arrays alive
-        self._on_pair_build = partial(index._bump, "cube_bytes")
-        self._slices = StepSlices(
-            self._db, self._parent_rows, on_pair_build=self._on_pair_build
-        )
+        self._slices = index.step_slices(parent.criteria, self._parent_rows)
         #: the family sources built lazily for the step, by key (``None`` =
         #: over budget or not servable — the candidate takes the posting path)
-        self._sources: dict[tuple, Any] = {}
+        self._sources = _BuildOnce()
 
     @property
     def parent_size(self) -> int:
@@ -195,20 +232,6 @@ class NeighborhoodContext:
             if not (s.side is side and s.attribute == attribute)
         )
 
-    def _source(self, key: tuple, build: "Callable[[], Any]") -> Any:
-        """The request-scoped value under ``key``, built once."""
-        with self._lock:
-            if key in self._sources:
-                return self._sources[key]
-        with self._flight.lock(key):
-            with self._lock:
-                if key in self._sources:
-                    return self._sources[key]
-            built = build()
-            with self._lock:
-                self._sources[key] = built
-            return built
-
     def _admit(self, n_values: int, specs: tuple[RatingMapSpec, ...]) -> int:
         """The family's histogram cells if within budget, else 0."""
         if not specs:
@@ -227,7 +250,7 @@ class NeighborhoodContext:
                 return None
             return self._build_cube(self._slices, axis, specs, cells)
 
-        return self._source(("cube", side, attribute), build)
+        return self._sources.get(("cube", side, attribute), build)
 
     def _build_cube(
         self,
@@ -261,13 +284,8 @@ class NeighborhoodContext:
             cells = 0 if axis is None else self._admit(axis.n_values, self._specs)
             if not cells:
                 return None
-            slices = StepSlices(
-                self._db,
-                self._index.rows_for(self._parent.criteria.without_pair(pair)),
-                on_pair_build=self._on_pair_build,
-            )
             return self._build_cube(
-                slices,
+                self._index.step_slices(self._parent.criteria.without_pair(pair)),
                 axis,
                 self._specs,
                 cells,
@@ -275,7 +293,7 @@ class NeighborhoodContext:
                 parent_code=axis.code_of(pair.value),
             )
 
-        return self._source(("change", pair), build)
+        return self._sources.get(("change", pair), build)
 
     def sibling_group(self, pair: AVPair) -> "_SiblingCandidate | None":
         """The GENERALIZE candidate dropping ``pair``, from the sibling cube."""
@@ -304,7 +322,10 @@ class NeighborhoodContext:
                     self._slices, side, attribute, column, specs
                 )
 
-        return self._source(("containment", side, attribute), build)
+        key = ("containment", side, attribute)
+        if self._parent.criteria.pairs:
+            return self._sources.get(key, build)
+        return self._index.root_family(key, build)
 
     def family_route(
         self, operation: Operation
@@ -361,6 +382,44 @@ class NeighborhoodContext:
                 self.count_candidates("sibling", 1)
                 return group
         return _RowsCandidate(self, operation.target)
+
+
+class _Counters:
+    """Named integer counters behind one lock."""
+
+    def __init__(self, *names: str) -> None:
+        self._lock = threading.Lock()
+        self._values = dict.fromkeys(names, 0)
+
+    def bump(self, name: str, by: int = 1) -> None:
+        with self._lock:
+            self._values[name] += by
+
+    def snapshot(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._values)
+
+
+class _BuildOnce:
+    """Values built lazily, once per key, under per-key single-flight locks."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._flight = KeyedSingleFlight()
+        self._values: dict[Hashable, Any] = {}
+
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        with self._lock:
+            if key in self._values:
+                return self._values[key]
+        with self._flight.lock(key):
+            with self._lock:
+                if key in self._values:
+                    return self._values[key]
+            built = build()
+            with self._lock:
+                self._values[key] = built
+            return built
 
 
 class _FamilyCandidate:
