@@ -101,7 +101,7 @@ _DISPERSION_FN: dict[DispersionMeasure, Callable[[np.ndarray], float]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriterionScores:
     """Raw (pre-normalization) criterion scores of one rating map.
 

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RatingMapSpec:
     """Identity of a candidate rating map: GroupBy attribute × dimension."""
 
@@ -44,7 +44,7 @@ class RatingMapSpec:
         return f"RatingMapSpec({self.describe()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
     """One (subgroup, rating distribution) pair of a rating map."""
 

@@ -267,7 +267,7 @@ def aggregate_utility(
     return sum(values) / len(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredCandidate:
     """Scores of one candidate map: raw, normalised, utility, DW utility."""
 
