@@ -255,7 +255,11 @@ class CachingEngine:
                         return replace(stale, degraded=True)  # type: ignore[arg-type]
                 sp.set(outcome="miss")
                 group = self.group(criteria)
-                result = self._engine.generator.generate(group, seen)
+                index = self._engine.index
+                slices = (
+                    None if index is None else index.step_slices(criteria, group.rows)
+                )
+                result = self._engine.generator.generate(group, seen, slices=slices)
                 if not result.degraded:
                     # degraded (pressure-time) results are answers, not truth:
                     # keep them out of the shared caches so later requests

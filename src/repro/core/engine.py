@@ -137,13 +137,14 @@ class SubDEx:
         criteria = criteria or SelectionCriteria.root()
         if self._index is not None:
             group = self._index.group(criteria)
+            slices = self._index.step_slices(criteria, group.rows)
         else:
-            group = RatingGroup(self._database, criteria)
+            group, slices = RatingGroup(self._database, criteria), None
         seen = seen or SeenMaps(
             self._database.dimensions,
             n_attributes=len(self._database.grouping_attributes()),
         )
-        return self._generator.generate(group, seen)
+        return self._generator.generate(group, seen, slices=slices)
 
     def recommend(
         self,

@@ -9,7 +9,7 @@ with GMM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .pruning import PruningStrategy, make_pruner
 from .rating_maps import RatingMap, RatingMapSpec, enumerate_map_specs
 from .selection import select_diverse_maps
 from .utility import ScoredCandidate, SeenMaps, UtilityConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..index.cubes import StepSlices
 
 __all__ = ["GeneratorConfig", "RMSetResult", "RMSetGenerator"]
 
@@ -118,8 +121,13 @@ class RMSetGenerator:
         seen: SeenMaps,
         dimensions: Sequence[str] | None = None,
         k: int | None = None,
+        slices: "StepSlices | None" = None,
     ) -> RMSetResult:
-        """Solve Problem 1 for ``group`` given the cross-step state ``seen``."""
+        """Solve Problem 1 for ``group`` given the cross-step state ``seen``.
+
+        ``slices`` is the group's scan state (an index's ``step_slices``,
+        kept for the root); by default the run counts over fresh slices.
+        """
         config = self._config
         k = config.k if k is None else k
         specs = tuple(
@@ -139,6 +147,7 @@ class RMSetGenerator:
                 n_phases=config.n_phases,
                 shuffle_seed=config.shuffle_seed,
                 kernel=supports_batch(config),
+                slices=slices,
             )
             if config.diversity_only:
                 # keep every candidate: the selector alone decides

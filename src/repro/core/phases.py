@@ -2,23 +2,22 @@
 
 The framework materialises all candidate rating maps of a rating group
 incrementally: the group's records are split into ``n`` near-equal fractions
-and each phase folds one fraction into per-candidate histogram accumulators.
-Between phases a pluggable pruner (see :mod:`repro.core.pruning`) inspects
-the partial scores and discards low-utility candidates so later phases touch
-less state.
+and each phase adds one fraction to every candidate's histogram.  Between
+phases a pluggable pruner (see :mod:`repro.core.pruning`) inspects the
+partial scores and discards low-utility candidates, so later phases score
+fewer of them.
 
 Records are processed in a seeded random permutation so the
 Hoeffding–Serfling assumptions (uniform sampling without replacement) hold
-regardless of the physical row order of the rating table.  The permutation
-is applied once, up front: each grouping attribute's shifted codes and each
-rating dimension's score buckets are gathered into scan order in the
-trash-cell layout of :func:`~repro.db.groupby.score_buckets`, so phase ``i``
-is the contiguous slice ``[b_i, b_{i+1})`` of every column.
-
-Sharing (paper §4.2.1) is structural: candidates that group by the same
-attribute share one :class:`~repro.db.groupby.SharedGroupByScan`, and
-attributes share the dimensions' bucket columns, so a phase costs one
-``bincount`` per live (attribute, dimension) pair.
+regardless of the physical row order of the rating table.  The counts come
+from the group's :class:`~repro.index.cubes.StepSlices`: the permutation is
+one phase label per row, and every phase's histograms of an attribute are
+one ``bincount`` per dimension keyed by (phase, code, bucket) and a
+``cumsum`` (:meth:`~repro.index.cubes.StepSlices.phase_counts`), so phase
+``i`` reads row ``i`` of each candidate's cumulative counts.  An index
+keeps the root's slices, so the root's phases are counted once per engine.
+Counting is one pass per attribute whatever the pruner drops: pruning saves
+snapshot scoring, which is most of a phased run, not counting.
 
 Between phases the active specs are scored as arrays.  Under the
 configurations the fused kernel covers (``supports_batch``: SQUASH
@@ -44,7 +43,8 @@ from ..batch.kernel import (
     batch_family_scores,
     seen_probabilities,
 )
-from ..db.groupby import Grouping, SharedGroupByScan, phase_bounds, score_buckets
+from ..db.groupby import phase_bounds
+from ..index.cubes import StepSlices
 from ..model.groups import RatingGroup, SelectionCriteria
 from ..obs import span as obs_span
 from ..resilience.deadline import check_deadline
@@ -111,10 +111,6 @@ class PhaseSnapshot:
         object.__setattr__(
             self, "dw", np.array([c.dw_utility for c in candidates], dtype=np.float64)
         )
-
-    @property
-    def fraction_seen(self) -> float:
-        return self.rows_seen / self.n_total if self.n_total else 1.0
 
     def without(self, dropped: Collection[Hashable]) -> "PhaseSnapshot":
         """The same phase with the ``dropped`` specs removed."""
@@ -259,6 +255,10 @@ class PhasedExecution:
         Score with the fused batch kernel instead of ``scorer``.  Only
         valid when ``supports_batch`` holds for the generator
         configuration that built ``scorer`` from ``utility_config``.
+    slices:
+        The group's scan state, whose phase counts the run reads: an
+        index's :meth:`~repro.index.facade.IndexedDatabase.step_slices`
+        (kept for the root), or by default fresh slices over the group.
     """
 
     def __init__(
@@ -271,6 +271,7 @@ class PhasedExecution:
         n_phases: int = 10,
         shuffle_seed: int | None = 0,
         kernel: bool = False,
+        slices: StepSlices | None = None,
     ) -> None:
         self._group = group
         self._specs = tuple(specs)
@@ -278,7 +279,11 @@ class PhasedExecution:
         self._config = utility_config
         self._scorer = scorer
         self._n_phases = max(1, int(n_phases))
+        self._shuffle_seed = shuffle_seed
         self._kernel = kernel
+        self._slices = (
+            StepSlices(group.database, group.rows) if slices is None else slices
+        )
         self._seen_pooled = seen.pooled_distributions()
         self._seen_probs = seen_probabilities(seen)
         dim_weights = dimension_weights(seen.dimension_history(), seen.dimensions)
@@ -292,47 +297,16 @@ class PhasedExecution:
             )
             for spec in self._specs
         }
-
-        # Every column in scan order, once: each dimension's score buckets
-        # are shared by all attributes, each attribute's codes by all of
-        # its dimensions ("Combining Multiple Aggregates").
-        database = group.database
-        rows = group.rows[self._permutation(len(group), shuffle_seed)]
-        by_attribute: dict[tuple, list[str]] = {}
-        for spec in self._specs:
-            by_attribute.setdefault((spec.side, spec.attribute), []).append(
-                spec.dimension
-            )
-        buckets = {
-            dim: score_buckets(database.dimension_scores(dim)[rows], database.scale)
-            for dim in dict.fromkeys(spec.dimension for spec in self._specs)
-        }
-        self._scans: dict[tuple, SharedGroupByScan] = {}
-        self._labels: dict[tuple, tuple] = {}
-        for (side, attribute), dims in by_attribute.items():
-            aligned = database.aligned_grouping(side, attribute)
-            self._scans[(side, attribute)] = SharedGroupByScan.over_buckets(
-                Grouping(attribute, aligned.codes[rows], aligned.labels),
-                {dim: buckets[dim] for dim in dims},
-                database.scale,
-            )
-            self._labels[(side, attribute)] = aligned.labels
-
+        #: spec → its (n_slices, n_groups, scale) cumulative phase counts
+        self._cumulative: dict[RatingMapSpec, np.ndarray] = {}
+        self._phase = 0
         self._active: set[RatingMapSpec] = set(self._specs)
         self._pruned: list[RatingMapSpec] = []
         self._rows_seen = 0
 
     # -- internals ----------------------------------------------------------
-    @staticmethod
-    def _permutation(n: int, seed: int | None) -> np.ndarray:
-        order = np.arange(n, dtype=np.int64)
-        if seed is not None and n > 1:
-            np.random.default_rng(seed).shuffle(order)
-        return order
-
     def _counts_of(self, spec: RatingMapSpec) -> np.ndarray:
-        scan = self._scans[(spec.side, spec.attribute)]
-        return scan.accumulator(spec.dimension).counts
+        return self._cumulative[spec][self._phase]
 
     def _active_specs(self) -> tuple[RatingMapSpec, ...]:
         return tuple(s for s in self._specs if s in self._active)
@@ -376,13 +350,6 @@ class PhasedExecution:
             dw=dw[0],
         )
 
-    def _drop(self, specs: set[RatingMapSpec]) -> None:
-        for spec in specs:
-            self._active.discard(spec)
-            self._pruned.append(spec)
-            # specs are unique, so no active spec needs this pair any more
-            self._scans[(spec.side, spec.attribute)].drop_dimension(spec.dimension)
-
     # -- the algorithm ------------------------------------------------------
     def run(self, pruner: "Pruner", k_prime: int) -> PhasedExecutionResult:
         """Algorithm 1: phased scan with inter-phase pruning.
@@ -392,20 +359,21 @@ class PhasedExecution:
         histograms) together with their scores.
         """
         pruner.begin(self._specs, k_prime)
+        with obs_span("phase.count", n_specs=len(self._specs)):
+            for spec in self._specs:
+                # cooperative cancellation: an oversized request aborts
+                # between attributes instead of hogging its worker
+                check_deadline()
+                self._cumulative[spec] = self._slices.phase_counts(
+                    spec, self._n_phases, self._shuffle_seed
+                )
         bounds = phase_bounds(len(self._group), self._n_phases)
         n_slices = len(bounds) - 1
         wants_snapshots = getattr(pruner, "needs_snapshots", True)
-        phases_run = 0
         for i in range(n_slices):
             with obs_span("phase.scan", phase=i + 1, n_phases=n_slices) as sp:
-                block = slice(int(bounds[i]), int(bounds[i + 1]))
-                for scan in self._scans.values():
-                    # cooperative cancellation: an oversized request aborts
-                    # between GroupBy scans instead of hogging its worker
-                    check_deadline()
-                    scan.update(block)
-                self._rows_seen += block.stop - block.start
-                phases_run += 1
+                self._phase = i
+                self._rows_seen = int(bounds[i + 1])
                 # no pruning after the last phase, once k' remain, or for a
                 # pruner that never looks (NoPruning skips the scoring)
                 if (
@@ -413,8 +381,10 @@ class PhasedExecution:
                     and len(self._active) > k_prime
                     and wants_snapshots
                 ):
-                    to_drop = pruner.prune(self._snapshot(i + 1, n_slices))
-                    self._drop(to_drop & self._active)
+                    dropped = pruner.prune(self._snapshot(i + 1, n_slices))
+                    dropped &= self._active
+                    self._active -= dropped
+                    self._pruned.extend(dropped)
                 sp.set(
                     rows_seen=self._rows_seen,
                     active=len(self._active),
@@ -424,7 +394,7 @@ class PhasedExecution:
         return finalize_from_counts(
             self._active_specs(),
             self._counts_of,
-            lambda spec: self._labels[(spec.side, spec.attribute)],
+            lambda spec: self._slices.labels(spec.side, spec.attribute),
             self._group.criteria,
             len(self._group),
             self._seen,
@@ -432,6 +402,6 @@ class PhasedExecution:
             self._scorer,
             k_prime,
             pruned=self._pruned,
-            phases_run=phases_run,
+            phases_run=n_slices,
             kernel=self._kernel,
         )

@@ -228,7 +228,11 @@ class RecommendationBuilder:
             # not a real move (it also causes add/remove oscillation in FA)
             if np.array_equal(group.rows, current_rows):
                 return None
-        preview = generator.generate(group, seen)
+        index = self._index
+        slices = (
+            None if index is None else index.step_slices(group.criteria, group.rows)
+        )
+        preview = generator.generate(group, seen, slices=slices)
         if not preview.selected:
             return None
         return ScoredOperation(operation, preview.total_utility(), preview)

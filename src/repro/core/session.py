@@ -150,7 +150,11 @@ class ExplorationSession:
         """Run the RM-Set Generator for the current state (cached if shared)."""
         if self._cache is not None:
             return self._cache.rating_maps(self._state.criteria, self._seen)
-        return self._generator.generate(self._state.group, self._seen)
+        group, index = self._state.group, self._index
+        slices = (
+            None if index is None else index.step_slices(group.criteria, group.rows)
+        )
+        return self._generator.generate(group, self._seen, slices=slices)
 
     # -- stepping -----------------------------------------------------------
     def step(

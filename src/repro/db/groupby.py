@@ -7,9 +7,11 @@ group.  Two properties of that workload shape this module:
   maps that group by the same attribute differ only in the aggregated rating
   dimension, so one scan computes histograms for every dimension at once.
 * **Phased execution** (paper Alg. 1): pruning operates on *partial* results,
-  so accumulators accept incremental batches of rows — index arrays, or
-  slices of columns already stored in scan order — and expose their partial
-  histograms at any point.
+  so accumulators accept incremental batches of rows and expose their
+  partial histograms at any point.  Algorithm 1 itself reads every phase's
+  histograms from one keyed pass
+  (:meth:`~repro.index.cubes.StepSlices.phase_counts`); :func:`phase_bounds`
+  fixes its phases.
 
 Because rating scores live on an integer scale ``1..m`` (Def. 1), a per-group
 histogram of counts is a sufficient statistic: mean, standard deviation and
@@ -146,44 +148,15 @@ class HistogramAccumulator:
     """
 
     def __init__(self, grouping: Grouping, scores: np.ndarray, scale: int) -> None:
-        self._attach(
-            grouping,
-            shifted_codes(grouping.codes, grouping.n_groups),
-            score_buckets(np.asarray(scores, dtype=np.float64), int(scale)),
-            scale,
-        )
-
-    @classmethod
-    def over_buckets(
-        cls, grouping: Grouping, key: np.ndarray, buckets: np.ndarray, scale: int
-    ) -> "HistogramAccumulator":
-        """An accumulator over prebuilt :func:`shifted_codes` ``key`` and
-        :func:`score_buckets` columns (shared with other accumulators)."""
-        accumulator = cls.__new__(cls)
-        accumulator._attach(grouping, key, buckets, scale)
-        return accumulator
-
-    def _attach(
-        self, grouping: Grouping, key: np.ndarray, buckets: np.ndarray, scale: int
-    ) -> None:
         if scale < 2:
             raise SchemaError(f"rating scale must be >= 2, got {scale}")
         self._grouping = grouping
-        self._key = key
-        self._buckets = buckets
+        self._buckets = score_buckets(np.asarray(scores, dtype=np.float64), int(scale))
         self._scale = int(scale)
         self._cells = np.zeros(
             (grouping.n_groups + 1, self._scale + 1), dtype=np.int64
         )
         self._rows_seen = 0
-
-    @property
-    def grouping(self) -> Grouping:
-        return self._grouping
-
-    @property
-    def scale(self) -> int:
-        return self._scale
 
     @property
     def counts(self) -> np.ndarray:
@@ -196,9 +169,8 @@ class HistogramAccumulator:
 
     def update(self, rows: "np.ndarray | slice") -> None:
         """Fold the scores at ``rows`` (indices or a slice) into the histograms."""
-        self.fold(
-            np.multiply(self._key[rows], self._scale + 1, dtype=np.int64), rows
-        )
+        key = shifted_codes(self._grouping.codes[rows], self._grouping.n_groups)
+        self.fold(np.multiply(key, self._scale + 1, dtype=np.int64), rows)
 
     def fold(self, base: np.ndarray, rows: "np.ndarray | slice") -> None:
         """Fold in ``rows`` given their keys pre-multiplied by ``scale + 1``.
@@ -223,9 +195,7 @@ class SharedGroupByScan:
     optimization: the grouping's shifted codes are built once and every
     dimension's accumulator reuses them, so a batch reads each row's key
     once per attribute and each (attribute, dimension) pair costs one
-    ``bincount``.  ``update`` accepts row indices or a ``slice``; over
-    columns stored in scan order (see :meth:`over_buckets`) each phase of
-    Algorithm 1 is a contiguous slice and reads no index array at all.
+    ``bincount``.  ``update`` accepts row indices or a ``slice``.
     """
 
     def __init__(
@@ -234,64 +204,17 @@ class SharedGroupByScan:
         dimension_scores: Mapping[str, np.ndarray],
         scale: int,
     ) -> None:
-        self._attach(
-            grouping,
-            {
-                dim: score_buckets(np.asarray(scores, dtype=np.float64), int(scale))
-                for dim, scores in dimension_scores.items()
-            },
-            scale,
-        )
-
-    @classmethod
-    def over_buckets(
-        cls,
-        grouping: Grouping,
-        dimension_buckets: Mapping[str, np.ndarray],
-        scale: int,
-    ) -> "SharedGroupByScan":
-        """A scan over prebuilt :func:`score_buckets` columns.
-
-        ``grouping.codes`` and every bucket column must be aligned row for
-        row; a caller scanning several attributes builds each dimension's
-        bucket column once and shares it across their scans.
-        """
-        scan = cls.__new__(cls)
-        scan._attach(grouping, dimension_buckets, scale)
-        return scan
-
-    def _attach(
-        self,
-        grouping: Grouping,
-        dimension_buckets: Mapping[str, np.ndarray],
-        scale: int,
-    ) -> None:
-        self._grouping = grouping
         self._key = shifted_codes(grouping.codes, grouping.n_groups)
         self._stride = int(scale) + 1
         self._accumulators = {
-            dim: HistogramAccumulator.over_buckets(grouping, self._key, buckets, scale)
-            for dim, buckets in dimension_buckets.items()
+            dim: HistogramAccumulator(grouping, scores, scale)
+            for dim, scores in dimension_scores.items()
         }
-
-    @property
-    def grouping(self) -> Grouping:
-        return self._grouping
-
-    @property
-    def dimensions(self) -> tuple[str, ...]:
-        return tuple(self._accumulators)
 
     def accumulator(self, dimension: str) -> HistogramAccumulator:
         return self._accumulators[dimension]
 
-    def drop_dimension(self, dimension: str) -> None:
-        """Stop accumulating a pruned dimension (frees per-phase work)."""
-        self._accumulators.pop(dimension, None)
-
     def update(self, rows: "np.ndarray | slice") -> None:
-        if not self._accumulators:
-            return
         base = np.multiply(self._key[rows], self._stride, dtype=np.int64)
         for accumulator in self._accumulators.values():
             accumulator.fold(base, rows)

@@ -13,9 +13,9 @@ single scan.  FILTER candidates admit two further sharing axes:
   attribute b's cube slice grouped by a.
 
 :class:`StepSlices` owns the scan state of one group: its rows'
-attribute codes and score buckets (sliced once, shared by every cube) and
-the joint pair histograms (built once per unordered attribute pair per
-dimension, under single-flight locks).  A step's slices live as long as
+attribute codes and score buckets (sliced once, shared by every cube), the
+joint pair histograms (built once per unordered attribute pair per
+dimension, under single-flight locks) and Algorithm 1's phase histograms.  A step's slices live as long as
 the step, except the root group's, which the index keeps (see
 :meth:`~repro.index.facade.IndexedDatabase.step_slices`).  Missing codes and
 out-of-scale scores are routed to trash cells (row/column/bucket 0 or
@@ -48,7 +48,13 @@ import numpy as np
 from ..concurrency import KeyedSingleFlight
 from ..core.rating_maps import RatingMapSpec
 from ..db.column import MultiValuedColumn
-from ..db.groupby import build_grouping, narrowest, score_buckets, shifted_codes
+from ..db.groupby import (
+    build_grouping,
+    narrowest,
+    phase_bounds,
+    score_buckets,
+    shifted_codes,
+)
 from ..db.types import ColumnType
 from ..model.database import Side, SubjectiveDatabase
 
@@ -167,8 +173,13 @@ class StepSlices:
         self._ent_codes1: dict[_AttrKey, tuple[np.ndarray, int]] = {}
         self._ent_hist: dict[tuple[Side, str], np.ndarray] = {}
         self._cross_m: dict[tuple[_AttrKey, Side, str], np.ndarray] = {}
+        #: (n_phases, seed) → row phases; (side, attribute, dim, n_phases,
+        #: seed) → cumulative phase counts
+        self._phase_of: dict[tuple[int, int | None], np.ndarray] = {}
+        self._phases: dict[tuple, np.ndarray] = {}
         self.nbytes = 0
         self.pair_builds = 0
+        self.phase_builds = 0
 
     @property
     def rows(self) -> np.ndarray:
@@ -448,6 +459,70 @@ class StepSlices:
             with self._lock:
                 self._group.update(built)
                 return self._group[key]
+
+    # -- phased counts (Algorithm 1) -----------------------------------------
+    def phase_of(self, n_phases: int, shuffle_seed: int | None) -> np.ndarray:
+        """Each row's phase (narrowest unsigned type) under Algorithm 1's
+        seeded permutation: rows ``[b_i, b_{i+1})`` of it (:func:`phase_bounds`)."""
+        key = (n_phases, shuffle_seed)
+        with self._lock:
+            cached = self._phase_of.get(key)
+        if cached is not None:
+            return cached
+        n = self._rows.size
+        bounds = phase_bounds(n, n_phases)
+        order = np.arange(n, dtype=np.int64)
+        if shuffle_seed is not None and n > 1:
+            np.random.default_rng(shuffle_seed).shuffle(order)
+        labels = np.empty(n, dtype=np.min_scalar_type(len(bounds) - 2))
+        labels[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        with self._lock:
+            return self._phase_of.setdefault(key, labels)
+
+    def phase_counts(
+        self, spec: RatingMapSpec, n_phases: int, shuffle_seed: int | None
+    ) -> np.ndarray:
+        """``(n_slices, n_groups, scale)`` cumulative phase histograms.
+
+        Row ``i`` is the histogram of phases ``0..i`` of :meth:`phase_of`,
+        so the last row is :meth:`group_hist`.  Built for every rating
+        dimension of the spec's attribute at once: one ``bincount`` per
+        dimension keyed by (phase, code, bucket), then a ``cumsum`` over
+        the phases.  The arrays are read-only (the index keeps the root's).
+        """
+        side, attribute = spec.side, spec.attribute
+        key = (side, attribute, spec.dimension, n_phases, shuffle_seed)
+        with self._lock:
+            counts = self._phases.get(key)
+        if counts is not None:
+            return counts
+        with self._flight.lock(("phases", side, attribute, n_phases, shuffle_seed)):
+            with self._lock:
+                counts = self._phases.get(key)
+            if counts is not None:
+                return counts
+            scale = self._scale
+            labels = self.phase_of(n_phases, shuffle_seed)
+            n_slices = len(phase_bounds(self._rows.size, n_phases)) - 1
+            codes1, n_groups, __ = self.codes1(side, attribute)
+            keys = np.multiply(labels, n_groups + 1, dtype=np.int64)
+            keys += codes1
+            keys *= scale + 1
+            built = {}
+            for dim in self._db.dimensions:
+                flat = np.bincount(
+                    keys + self.buckets(dim),
+                    minlength=n_slices * (n_groups + 1) * (scale + 1),
+                )
+                cumulative = flat.reshape(n_slices, n_groups + 1, scale + 1)[
+                    :, 1:, :scale
+                ].cumsum(axis=0)
+                cumulative.flags.writeable = False
+                built[(side, attribute, dim, n_phases, shuffle_seed)] = cumulative
+            with self._lock:
+                self._phases.update(built)
+                self.phase_builds += 1
+                return self._phases[key]
 
     def _counts(self, flat: np.ndarray) -> np.ndarray:
         """Row counts of this group in the narrowest type that holds them.

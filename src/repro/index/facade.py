@@ -151,10 +151,11 @@ class IndexedDatabase:
         """The scan state of ``criteria``'s group (``rows``, if known).
 
         The root's is built once and kept for the index's lifetime: every
-        session opens at the root, and every CHANGE out of a one-pair group
-        scans it as the sibling.  It holds only integer counts of a group
-        that never changes, filled lazily under its own single-flight
-        locks, so sharing it across steps and threads moves no answer.
+        session opens at the root (Algorithm 1 reads its phase counts), and
+        every CHANGE out of a one-pair group scans it as the sibling.  It
+        holds only integer counts of a group that never changes, filled
+        lazily under its own single-flight locks, so sharing it across
+        steps and threads moves no answer.
         Any other group's is fresh and lives as long as its step.
         """
         if criteria.pairs:

@@ -596,9 +596,11 @@ class SessionService:
 
         The group's count matrices come from one vectorised pass over its
         rows (:meth:`StepSlices.group_hist`, the bincount the index's
-        ``parent_counts`` runs), whether or not the engine has an index;
-        the group is selected from the tables, so a scan leaves the
-        engine's caches as it found them.  :func:`preview_generator`
+        ``parent_counts`` runs).  With an index the slices are
+        :meth:`~repro.index.facade.IndexedDatabase.step_slices`, so a root
+        scan reads the root's kept counts and any other group's rows come
+        from posting lists; without one the group is selected from the
+        tables.  Only counts and postings are shared.  :func:`preview_generator`
         finalises the counts the way a single-phase, unpruned ``generate``
         would, so every deployment answers the same bytes and ``degraded``
         is always false.
@@ -619,18 +621,23 @@ class SessionService:
         engine = self.engine(dataset)
         database = engine.database
         specs = tuple(enumerate_map_specs(database, criteria))
+        index = engine.engine.index
         with obs_span("engine.scan", dataset=dataset, n_specs=len(specs)):
-            group = RatingGroup(database, criteria)
+            slices = (
+                StepSlices(database, RatingGroup(database, criteria).rows)
+                if index is None
+                else index.step_slices(criteria)
+            )
             result = preview_generator(
                 engine.engine.generator
             ).generate_from_counts(
                 criteria,
                 specs,
-                StepSlices(database, group.rows).group_hist,
+                slices.group_hist,
                 lambda spec: tuple(
                     database.aligned_grouping(spec.side, spec.attribute).labels
                 ),
-                len(group),
+                len(slices.rows),
                 SeenMaps(
                     database.dimensions,
                     n_attributes=len(tuple(database.grouping_attributes())),
@@ -640,7 +647,7 @@ class SessionService:
         return 200, {
             "dataset": dataset,
             "criteria": criteria_to_json(criteria),
-            "group_size": len(group),
+            "group_size": len(slices.rows),
             "degraded": False,
             "worker": self.worker,
             "maps": [

@@ -87,13 +87,6 @@ class TestSharedScan:
             scan.accumulator("d1").counts == scan.accumulator("d2").counts
         ).all()
 
-    def test_drop_dimension(self, table):
-        grouping = build_grouping(table, "g")
-        scan = SharedGroupByScan(grouping, {"d1": table.numeric("x")}, scale=5)
-        scan.drop_dimension("d1")
-        assert scan.dimensions == ()
-        scan.update(np.arange(len(table)))  # no-op, no error
-
 
 class TestPhaseSlices:
     def test_cover_exactly_once(self):

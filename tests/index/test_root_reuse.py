@@ -6,7 +6,8 @@ scans the root as its sibling group, so the index keeps the root's
 whole lifetime.  Only integer counts are kept: a reused root must answer
 byte for byte what a fresh engine answers, build each pair histogram once
 however many threads open at once, and stay whole when a deadline cuts
-its first build short.
+its first build short.  Algorithm 1 reads the root's phase counts from
+the same kept slices, so a second root generate counts nothing.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import threading
 import pytest
 
 from repro.core.engine import SubDEx, SubDExConfig
+from repro.core.rating_maps import enumerate_map_specs
 from repro.core.recommend import RecommenderConfig
-from repro.index.verify import diff_recommendations
+from repro.index.verify import diff_recommendations, result_fingerprint
 from repro.model.database import Side
 from repro.model.groups import AVPair, SelectionCriteria
 from repro.model.operations import Operation, OperationKind
@@ -171,3 +173,90 @@ def test_deadline_during_first_root_build(clean_db, fresh_open, cut):
     assert _open(engine) == expected
     # the cut open's pairs plus the next open's are each built once
     assert _cube_bytes(engine) == built
+
+
+def _maps(engine: SubDEx) -> tuple:
+    """The root's RM-Set under a fresh display history, as comparable data."""
+    result = engine.rating_maps()
+    return result_fingerprint(result), result.pruned
+
+
+def _n_attributes(engine: SubDEx) -> int:
+    return len(
+        {(spec.side, spec.attribute) for spec in enumerate_map_specs(
+            engine.database, ROOT
+        )}
+    )
+
+
+@pytest.fixture(scope="module")
+def fresh_maps(clean_db) -> tuple:
+    return _maps(_engine(clean_db))
+
+
+def test_root_phases_counted_once(clean_db, fresh_maps):
+    """Algorithm 1 reads the root's phase counts from the kept slices."""
+    engine = _engine(clean_db)
+    root = engine.index.step_slices(ROOT)
+    assert _maps(engine) == fresh_maps
+    builds = root.phase_builds
+    assert builds == _n_attributes(engine)
+    assert _maps(engine) == fresh_maps
+    _open(engine)
+    _open(engine)
+    assert root.phase_builds == builds
+
+
+def test_concurrent_root_maps_count_each_attribute_once(clean_db, fresh_maps):
+    engine = _engine(clean_db)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    answers: dict[int, tuple] = {}
+    errors: list[BaseException] = []
+
+    def work(worker: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            answers[worker] = _maps(engine)
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(w,)) for w in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(answers) == n_threads
+    assert all(answer == fresh_maps for answer in answers.values())
+    assert engine.index.step_slices(ROOT).phase_builds == _n_attributes(engine)
+
+
+@pytest.mark.parametrize("cut", [0, 1, 3])
+def test_deadline_during_first_root_phase_build(clean_db, fresh_maps, cut):
+    """Root maps cut after ``cut`` attributes' phase builds leave the root whole."""
+    engine = _engine(clean_db)
+    root = engine.index.step_slices(ROOT)
+    started = False
+
+    def clock() -> float:
+        nonlocal started
+        if not started:  # the deadline reads its start once
+            started = True
+            return 0.0
+        return 2.0 if root.phase_builds >= cut else 0.0
+
+    with pytest.raises(DeadlineExceeded):
+        with deadline_scope(Deadline(1.0, clock=clock)):
+            engine.rating_maps()
+    assert root.phase_builds == cut
+    assert _maps(engine) == fresh_maps
+    assert root.phase_builds == _n_attributes(engine)
