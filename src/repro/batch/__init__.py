@@ -7,20 +7,10 @@ deciding which candidates pay for full preview finalisation.  See
 :mod:`repro.batch.scoring` for the orchestration.
 """
 
-from .kernel import SpecScores, batch_dw_column, batch_raw_scores
-from .scoring import (
-    FamilyBatchScorer,
-    FamilyPlan,
-    plan_lookup,
-    supports_batch,
-)
+from .scoring import FamilyBatchScorer, FamilyPlan, plan_lookup
 
 __all__ = [
-    "SpecScores",
-    "batch_raw_scores",
-    "batch_dw_column",
     "FamilyBatchScorer",
     "FamilyPlan",
     "plan_lookup",
-    "supports_batch",
 ]

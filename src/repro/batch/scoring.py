@@ -1,9 +1,8 @@
-"""Family-batched candidate scoring on the recommendation hot path.
+"""Family-batched candidate scoring: how an indexed engine scores candidates.
 
-The per-candidate indexed path (:meth:`RecommendationBuilder._score_one_indexed`)
-walks candidates one by one even though most candidates are members of a
-fused family that one scan serves.  This module scores a whole *family* at
-once.  :meth:`~repro.index.facade.NeighborhoodContext.family_route` picks
+Most candidates of a recommendation request are members of a fused family
+that one scan serves, so this module scores a whole *family* at once, under
+every utility configuration the engine accepts.  :meth:`~repro.index.facade.NeighborhoodContext.family_route` picks
 the route from the operation's shape — no configuration involved:
 
 * **FILTER cube** — FILTERs on one categorical/numeric attribute share
@@ -29,15 +28,16 @@ the route from the operation's shape — no configuration involved:
    maps) is bounded above by the Σ of its top-k pool DW utilities, so
    candidates are finalised in descending-bound order and the loop stops
    once the bound falls below the o-th best exact utility;
-4. **exact-score cheaply, materialise lazily** — a surviving candidate's
-   *exact* utility needs only the GMM selection over its pool maps'
-   profiles, not the materialised preview: profiles (subgroup means and
-   sizes) come straight from the count tensors, and the same
-   ``gmm_select``/PROFILE EMD the oracle uses picks the same
-   maps bit for bit.  The full preview — through the ordinary
-   ``generate_from_counts`` pipeline, byte-identical to the per-candidate
-   oracle — is materialised
-   only for candidates that actually reach a returned top-o.
+4. **exact-score cheaply, materialise lazily** — under PROFILE map
+   distance a surviving candidate's *exact* utility needs only the GMM
+   selection over its pool maps' profiles, not the materialised preview:
+   profiles (subgroup means and sizes) come straight from the count
+   tensors, and the same ``gmm_select``/PROFILE EMD the oracle uses picks
+   the same maps bit for bit.  The full preview — through the ordinary
+   ``generate_from_counts`` pipeline, byte-identical to the naive oracle —
+   is materialised only for candidates that actually reach a returned
+   top-o.  Under POOLED/NESTED distance an evaluated candidate's utility
+   is its materialised preview's.
 
 **Blocks.**  The recommendation scan hands the scorer its candidates in
 blocks (:meth:`FamilyBatchScorer.score_block`).  A block first prepares
@@ -47,9 +47,9 @@ evaluates the block's candidates best-bound-first against the
 request-wide threshold.  An unbudgeted request is one block: everything is
 prepared, then one global queue prunes the tail in a single cut.  A
 budgeted scan uses worker-sized blocks in scan order, so its snapshot,
-budget-cut and ``force_cut_after`` boundaries are those of the
-per-candidate path; a bound-pruned candidate provably cannot reach the
-top-o, so pruning never changes a snapshot.
+budget-cut and ``force_cut_after`` boundaries are those of the naive
+oracle's scan; a bound-pruned candidate provably cannot reach the top-o,
+so pruning never changes a snapshot.
 """
 
 from __future__ import annotations
@@ -60,27 +60,19 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ..core.distance import cdf_emd, points_cdf
+from ..core.distance import MapDistanceMethod, cdf_emd, points_cdf
 from ..core.gmm import gmm_select
-from ..core.interestingness import DispersionMeasure, PeculiarityDistance
-from ..core.normalization import NormalizationStrategy
 from ..core.rating_maps import RatingMapSpec
-from ..core.utility import (
-    SeenMaps,
-    UtilityAggregation,
-    UtilityConfig,
-    candidate_weight,
-    dimension_weights,
-)
+from ..core.utility import SeenMaps, candidate_weight, dimension_weights
 from ..model.operations import Operation
 from ..obs import span as obs_span
 from ..resilience.deadline import check_deadline
 from ..resilience.gate import under_pressure
 from .kernel import (
     FamilyScores,
+    SeenPooled,
     batch_family_dw,
     batch_family_scores,
-    seen_probabilities,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles with core and index
@@ -94,7 +86,6 @@ __all__ = [
     "PreparedFamily",
     "PreparedRows",
     "BatchScored",
-    "supports_batch",
     "plan_lookup",
     "pools_and_bounds",
     "FamilyBatchScorer",
@@ -106,24 +97,6 @@ __all__ = [
 #: ``threshold - margin`` keeps every exact tie-break candidate alive
 #: without giving up any real pruning.
 _PRUNE_MARGIN = 1e-9
-
-
-def supports_batch(config: "Any") -> bool:
-    """Whether a generator config is covered by the bitwise batch kernel.
-
-    The kernel mirrors the scorer's STD/TVD fast path under SQUASH
-    normalisation and MAX aggregation (the paper's defaults).  Ablation
-    configurations fall back to the per-candidate path — correctness never
-    depends on batching.
-    """
-    utility: UtilityConfig = config.utility
-    return (
-        not config.diversity_only
-        and utility.normalization is NormalizationStrategy.SQUASH
-        and utility.aggregation is UtilityAggregation.MAX
-        and utility.dispersion is DispersionMeasure.STD
-        and utility.peculiarity is PeculiarityDistance.TOTAL_VARIATION
-    )
 
 
 @dataclass
@@ -193,7 +166,7 @@ class PreparedRows:
     GENERALIZE candidates, multi-valued CHANGEs and compounds have no
     family, but their per-spec count matrices — from the sibling cube's
     joint histograms or the ordinary delta/direct path, so identical to the
-    per-candidate oracle's — still stack into a one-candidate tensor for
+    naive oracle's — still stack into a one-candidate tensor for
     the fused kernel.  That buys them the same vectorised criteria,
     exact-utility bound, global best-bound-first pruning and lazy preview
     as families.  Exposes the same candidate-indexed surface as
@@ -229,11 +202,12 @@ class BatchScored:
 
     Ranking only needs ``operation`` and ``utility``; :meth:`materialize`
     builds the full :class:`~repro.core.recommend.ScoredOperation` — with
-    the preview the per-candidate oracle would produce — for the
-    candidates that actually make the returned top-o.
+    the preview the naive oracle would produce — for the candidates that
+    actually make the returned top-o (or hands back the one ``scored``
+    already built).
     """
 
-    __slots__ = ("operation", "utility", "_scorer", "_prepared", "_c")
+    __slots__ = ("operation", "utility", "_scorer", "_prepared", "_c", "_scored")
 
     def __init__(
         self,
@@ -242,17 +216,21 @@ class BatchScored:
         scorer: "FamilyBatchScorer",
         prepared: "PreparedFamily | PreparedRows",
         c: int,
+        scored: "ScoredOperation | None" = None,
     ) -> None:
         self.operation = operation
         self.utility = utility
         self._scorer = scorer
         self._prepared = prepared
         self._c = c
+        self._scored = scored
 
     def materialize(self) -> "ScoredOperation":
-        return self._scorer.materialize_candidate(
-            self._prepared, self._c, self.utility
-        )
+        if self._scored is None:
+            self._scored = self._scorer.materialize_candidate(
+                self._prepared, self._c, self.utility
+            )
+        return self._scored
 
 
 def plan_lookup(
@@ -290,6 +268,7 @@ def pools_and_bounds(
     specs: "Sequence[RatingMapSpec]",
     k: int,
     k_prime: int,
+    diversity_only: bool = False,
 ) -> tuple[list[list[int]], np.ndarray]:
     """Per-candidate pool membership + utility upper bound.
 
@@ -300,14 +279,22 @@ def pools_and_bounds(
     back to the specs' own order through a precomputed rank, and the bound
     accumulates left to right as Python's ``sum`` does, so pools and bounds
     are bit-identical to a per-candidate ``sorted``.
+
+    ``diversity_only`` (Table 5/6's Diversity-Only arm) makes the pool
+    every informative spec in spec order, as the generator ranks it; the
+    bound is still the Σ of the top-k DW scores.
     """
     n_candidates, n_specs = dw.shape
     rank = np.empty(n_specs, dtype=np.intp)
-    rank[sorted(range(n_specs), key=specs.__getitem__)] = np.arange(n_specs)
+    by_spec = sorted(range(n_specs), key=specs.__getitem__)
+    rank[by_spec] = np.arange(n_specs)
     order = np.lexsort((np.broadcast_to(rank, dw.shape), -dw), axis=-1)
-    order = order[:, :k_prime]
+    order = order[:, : n_specs if diversity_only else k_prime]
     keep = np.take_along_axis(informative, order, axis=1)
-    pools = [row[mask].tolist() for row, mask in zip(order, keep)]
+    if diversity_only:
+        pools = [[j for j in by_spec if row[j]] for row in informative]
+    else:
+        pools = [row[mask].tolist() for row, mask in zip(order, keep)]
     summed = keep & (np.cumsum(keep, axis=1) <= k)
     values = np.take_along_axis(dw, order, axis=1)
     bounds = np.zeros(n_candidates)
@@ -341,9 +328,10 @@ class FamilyBatchScorer:
         gcfg = generator.config
         self._k = gcfg.k
         self._k_prime = gcfg.k_prime
+        self._diversity_only = gcfg.diversity_only
+        self._profile = gcfg.distance_method is MapDistanceMethod.PROFILE
         self._utility = gcfg.utility
-        self._min_support = max(1, int(gcfg.utility.min_support))
-        self._seen_probs = seen_probabilities(seen)
+        self._seen_pooled = SeenPooled.of(seen)
         self._dim_weights = dimension_weights(
             seen.dimension_history(), seen.dimensions
         )
@@ -462,7 +450,7 @@ class FamilyBatchScorer:
         source = family.source
         parent_size = self._ctx.parent_size
         sizes = [source.candidate_size(code) for code in family.codes]
-        # same gates as _score_one_indexed: size floor, then the source's
+        # the naive oracle's gates: size floor, then the source's
         # redundancy test (does the candidate select the parent's rows?)
         valid = [
             i
@@ -483,16 +471,13 @@ class FamilyBatchScorer:
                 check_deadline()
                 stacks.append(source.stacked_counts(codes, spec))
             scores = batch_family_scores(
-                stacks,
-                group_sizes,
-                self._seen_probs,
-                self._min_support,
-                self._utility.global_use_min,
+                stacks, group_sizes, self._seen_pooled, self._utility
             )
             weights = np.array([self._spec_weight(spec) for spec in specs])
             dw = batch_family_dw(scores, weights, self._utility)
             pools, bounds = pools_and_bounds(
-                dw, scores.informative, specs, self._k, self._k_prime
+                dw, scores.informative, specs, self._k, self._k_prime,
+                self._diversity_only,
             )
             n_scored = sum(1 for pool in pools if pool)
             if n_scored:
@@ -519,8 +504,8 @@ class FamilyBatchScorer:
     def prepare_rows(self, operation: Operation) -> "PreparedRows | None":
         """Kernel pass for one loose candidate (no family).
 
-        Applies the same gates as the per-candidate path — size floor and
-        the row-equality redundancy test — then runs the one-candidate
+        Applies the naive oracle's gates — size floor and the row-equality
+        redundancy test — then runs the one-candidate
         count stack through the fused kernel.  The count matrices come
         from the candidate's statistics view, so they are the exact arrays
         the oracle would score.
@@ -545,16 +530,16 @@ class FamilyBatchScorer:
                 scores = batch_family_scores(
                     stacks,
                     np.array([size], dtype=np.int64),
-                    self._seen_probs,
-                    self._min_support,
-                    self._utility.global_use_min,
+                    self._seen_pooled,
+                    self._utility,
                 )
                 weights = np.array(
                     [self._spec_weight(spec) for spec in specs]
                 )
                 dw = batch_family_dw(scores, weights, self._utility)
                 pools, bounds = pools_and_bounds(
-                    dw, scores.informative, specs, self._k, self._k_prime
+                    dw, scores.informative, specs, self._k, self._k_prime,
+                    self._diversity_only,
                 )
                 if pools[0]:
                     n_scored = 1
@@ -600,7 +585,8 @@ class FamilyBatchScorer:
     def evaluate_candidate(
         self, prepared: "PreparedFamily | PreparedRows", c: int
     ) -> BatchScored:
-        """Exact-score one candidate without materialising its preview.
+        """Exact-score one candidate, materialising its preview only when
+        the map distance is not PROFILE.
 
         Replays the RM-Selector on pool profiles computed straight from
         the count tensors: the same GMM over the same EMD values selects
@@ -608,12 +594,20 @@ class FamilyBatchScorer:
         — the Σ of the selected specs' DW scores, summed in selection
         order — is bitwise-identical to ``preview.total_utility()``.
         Under load pressure the oracle skips GMM and shows the plain
-        top-k, and so does this.  Feeds the exact utility back into the
-        shared prune threshold.
+        top-k (except for Diversity-Only, which never degrades), and so
+        does this.  POOLED/NESTED distances have no replay: the candidate's
+        utility is its materialised preview's.  Feeds the exact utility
+        back into the shared prune threshold.
         """
+        if not self._profile:
+            scored = self.materialize_candidate(prepared, c)
+            self.note_exact(scored.utility)
+            return BatchScored(
+                scored.operation, scored.utility, self, prepared, c, scored
+            )
         pool = prepared.pools[c]
         k = self._k
-        if under_pressure():
+        if under_pressure() and not self._diversity_only:
             # mirror _finish's load-shedding path: plain top-k by utility
             chosen = pool[:k]
         elif k >= len(pool):
@@ -636,13 +630,17 @@ class FamilyBatchScorer:
         return BatchScored(prepared.operation(c), utility, self, prepared, c)
 
     def materialize_candidate(
-        self, prepared: "PreparedFamily | PreparedRows", c: int, utility: float
+        self,
+        prepared: "PreparedFamily | PreparedRows",
+        c: int,
+        utility: "float | None" = None,
     ) -> "ScoredOperation":
         """Build one candidate's full preview with ``generate_from_counts``.
 
         The counts callable re-reads the candidate's rows from its source
-        — the same histogram the kernel stacked, so the preview
-        is built from values identical to the batch tensor's row ``c``.
+        — the same histogram the kernel stacked, so the preview is built
+        from values identical to the batch tensor's row ``c``.  ``utility``
+        defaults to the preview's own ``total_utility()``.
         """
         from ..core.recommend import ScoredOperation
 
@@ -655,4 +653,6 @@ class FamilyBatchScorer:
             self._seen,
         )
         self.stats["materialized"] += 1
+        if utility is None:
+            utility = preview.total_utility()
         return ScoredOperation(prepared.operation(c), utility, preview)

@@ -45,20 +45,15 @@ class SubDExConfig:
     (:mod:`repro.index`): posting lists, fused candidate cubes and
     delta-maintained histograms under the hot paths.  Disabling it gives
     the naive scan-everything engine — the correctness oracle the indexed
-    path is tested against (see ``docs/PERFORMANCE.md``).
-
-    ``batch_scoring`` additionally scores whole FILTER families of the
-    recommendation neighbourhood from stacked cube tensors with
-    upper-bound pruning (:mod:`repro.batch`).  It needs the index and a
-    kernel-covered utility configuration; otherwise (and when disabled)
-    requests take the per-candidate path, which stays byte-identical to
-    the pre-batching engine.
+    path is tested against (see ``docs/PERFORMANCE.md``).  An indexed
+    engine scores the recommendation neighbourhood family by family from
+    stacked count tensors with upper-bound pruning (:mod:`repro.batch`),
+    under every utility configuration.
     """
 
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     recommender: RecommenderConfig = field(default_factory=RecommenderConfig)
     use_index: bool = True
-    batch_scoring: bool = True
     index_memory_budget_bytes: int = 64 * 1024 * 1024
 
     # -- fluent tweaks used by the benches -------------------------------
@@ -102,7 +97,6 @@ class SubDEx:
             self._generator,
             self._config.recommender,
             index=self._index,
-            batch_scoring=self._config.batch_scoring,
         )
 
     # -- accessors --------------------------------------------------------

@@ -13,13 +13,11 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..batch.scoring import supports_batch
 from ..exceptions import ConfigurationError
 from ..model.groups import RatingGroup, SelectionCriteria
 from ..obs import span as obs_span
 from ..resilience.gate import under_pressure
 from .distance import MapDistanceMethod, min_pairwise_distance
-from .interestingness import InterestingnessScorer
 from .phases import PhasedExecution, PhasedExecutionResult, finalize_from_counts
 from .pruning import PruningStrategy, make_pruner
 from .rating_maps import RatingMap, RatingMapSpec, enumerate_map_specs
@@ -104,12 +102,6 @@ class RMSetGenerator:
 
     def __init__(self, config: GeneratorConfig | None = None) -> None:
         self._config = config or GeneratorConfig()
-        self._scorer = InterestingnessScorer(
-            dispersion=self._config.utility.dispersion,
-            peculiarity=self._config.utility.peculiarity,
-            global_use_min=self._config.utility.global_use_min,
-            min_support=self._config.utility.min_support,
-        )
 
     @property
     def config(self) -> GeneratorConfig:
@@ -143,10 +135,8 @@ class RMSetGenerator:
                 specs,
                 seen,
                 config.utility,
-                self._scorer,
                 n_phases=config.n_phases,
                 shuffle_seed=config.shuffle_seed,
-                kernel=supports_batch(config),
                 slices=slices,
             )
             if config.diversity_only:
@@ -176,8 +166,7 @@ class RMSetGenerator:
         the same records when run with one phase and no pruning (the
         Recommendation Builder's preview configuration): the count matrices
         are sufficient statistics, and scoring/selection read nothing else
-        from the group.  Configurations the batch kernel covers score every
-        spec in one kernel pass (see
+        from the group.  Every spec is scored in one kernel pass (see
         :func:`~repro.core.phases.finalize_from_counts`).
         """
         config = self._config
@@ -194,9 +183,7 @@ class RMSetGenerator:
             group_size,
             seen,
             config.utility,
-            self._scorer,
             k_prime,
-            kernel=supports_batch(config),
         )
         if config.diversity_only:
             ranked = tuple(sorted(outcome.ranked, key=lambda rm: rm.spec))

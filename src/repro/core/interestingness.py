@@ -52,6 +52,10 @@ def outlier_distance(p: "RatingDistribution", q: "RatingDistribution") -> float:
 __all__ = [
     "Criterion",
     "outlier_distance",
+    "noise_penalty",
+    "rows_agreement",
+    "rows_self_peculiarity",
+    "rows_global_peculiarity",
     "DispersionMeasure",
     "PeculiarityDistance",
     "CriterionScores",
@@ -101,6 +105,96 @@ _DISPERSION_FN: dict[DispersionMeasure, Callable[[np.ndarray], float]] = {
 }
 
 
+_DISTANCE_FN: dict[
+    PeculiarityDistance,
+    Callable[[RatingDistribution, RatingDistribution], float],
+] = {
+    PeculiarityDistance.TOTAL_VARIATION: total_variation,
+    PeculiarityDistance.KL: kl_divergence,
+    PeculiarityDistance.OUTLIER: outlier_distance,
+}
+
+
+def noise_penalty(n: float, scale: int) -> float:
+    """Expected sampling noise of an n-record distribution's distance.
+
+    An n-sample empirical distribution over m cells sits at an expected
+    total-variation distance of order ``sqrt(m / (8n))`` from its source
+    even when nothing is peculiar about it; subtracting this keeps
+    peculiarity from systematically inflating in small subgroups (where it
+    would otherwise pull exploration into noise-chasing drill-downs).
+    """
+    if n <= 0:
+        return 1.0
+    return math.sqrt(scale / (8.0 * n))
+
+
+def rows_agreement(
+    rows: np.ndarray, dispersion: Callable[[np.ndarray], float]
+) -> float:
+    """``1 / (1 + σ̃)`` with σ̃ the size-weighted mean row dispersion.
+
+    ``rows`` are a map's supported subgroups (at least two), so larger
+    subgroups weigh more: a 3-record unanimous subgroup cannot drag σ̃ to
+    0 and hand the map a perfect agreement score.
+    """
+    values = []
+    weights = []
+    for row in rows:
+        v = dispersion(row)
+        if not math.isnan(v):
+            values.append(v)
+            weights.append(row.sum())
+    if not values:
+        return 0.0
+    sigma = float(np.average(values, weights=weights))
+    return 1.0 / (1.0 + sigma)
+
+
+def rows_self_peculiarity(
+    rows: np.ndarray,
+    distance: Callable[[RatingDistribution, RatingDistribution], float],
+) -> float:
+    """Max over ``rows`` (a map's supported subgroups) of their distance to
+    the rows' pooled distribution, less each row's noise penalty.
+
+    The support floor behind ``rows`` (default 5 = the paper's minimum
+    irregular-group size) keeps two-record subgroups, which are always
+    extreme, from pinning every map's peculiarity at the top.
+    """
+    pooled = RatingDistribution(np.sum(rows, axis=0).astype(np.int64))
+    return max(
+        max(
+            0.0,
+            distance(RatingDistribution(row.astype(np.int64)), pooled)
+            - noise_penalty(float(row.sum()), rows.shape[1]),
+        )
+        for row in rows
+    )
+
+
+def rows_global_peculiarity(
+    rows: np.ndarray,
+    seen_pooled: Sequence[RatingDistribution],
+    distance: Callable[[RatingDistribution, RatingDistribution], float],
+    use_min: bool,
+) -> float:
+    """Distance between the pooled ``rows`` and the seen maps' pooled
+    distributions (at least one), less the pooled noise penalty.
+
+    The paper aggregates per-seen-map distances with ``max``; ``use_min``
+    switches to the stricter ``min`` (distance to the *closest* seen map).
+    """
+    pooled_counts = np.sum(rows, axis=0)
+    pooled = RatingDistribution(pooled_counts.astype(np.int64))
+    distances = [distance(pooled, q) for q in seen_pooled]
+    best = min(distances) if use_min else max(distances)
+    return max(
+        0.0,
+        best - noise_penalty(float(pooled_counts.sum()), rows.shape[1]),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class CriterionScores:
     """Raw (pre-normalization) criterion scores of one rating map.
@@ -139,34 +233,21 @@ class InterestingnessScorer:
         min_support: int = 5,
     ) -> None:
         self._dispersion_fn = _DISPERSION_FN[dispersion]
-        self._peculiarity = peculiarity
+        self._distance_fn = _DISTANCE_FN[peculiarity]
+        self._fast = (
+            dispersion is DispersionMeasure.STD
+            and peculiarity is PeculiarityDistance.TOTAL_VARIATION
+        )
         self._global_use_min = global_use_min
         # every criterion needs a support floor or 2-record subgroups
         # dominate; 5 matches the paper's minimum irregular-group size, so
         # planted anomalies always stay above it
         self._min_support = max(1, int(min_support))
 
-    # -- distances ----------------------------------------------------------
-    def _distance(self, p: RatingDistribution, q: RatingDistribution) -> float:
-        if self._peculiarity is PeculiarityDistance.KL:
-            return kl_divergence(p, q)
-        if self._peculiarity is PeculiarityDistance.OUTLIER:
-            return outlier_distance(p, q)
-        return total_variation(p, q)
-
-    def _noise_penalty(self, n: float, scale: int) -> float:
-        """Expected sampling noise of an n-record distribution's distance.
-
-        An n-sample empirical distribution over m cells sits at an expected
-        total-variation distance of order ``sqrt(m / (8n))`` from its
-        source even when nothing is peculiar about it; subtracting this
-        keeps peculiarity from systematically inflating in small subgroups
-        (where it would otherwise pull exploration into noise-chasing
-        drill-downs).
-        """
-        if n <= 0:
-            return 1.0
-        return math.sqrt(scale / (8.0 * n))
+    def _supported(self, counts: np.ndarray, group_size: int) -> np.ndarray:
+        """The rows of ``counts`` that reach the (phase-scaled) support."""
+        support = self._effective_support(counts, group_size)
+        return counts[counts.sum(axis=1) >= support]
 
     def _effective_support(self, counts: np.ndarray, group_size: int) -> int:
         """The support floor, scaled down for partial (phased) data.
@@ -184,61 +265,30 @@ class InterestingnessScorer:
     # -- per-criterion ------------------------------------------------------
     def conciseness(self, counts: np.ndarray, group_size: int) -> float:
         """Compaction gain ``|g_R| / |rm|`` over supported subgroups."""
-        support = self._effective_support(counts, group_size)
-        n_subgroups = int((counts.sum(axis=1) >= support).sum())
+        n_subgroups = len(self._supported(counts, group_size))
         if n_subgroups < 2:
             return 0.0
         return group_size / n_subgroups
 
     def agreement(self, counts: np.ndarray, group_size: int | None = None) -> float:
-        """``1 / (1 + \u03c3\u0303)`` with \u03c3\u0303 the size-weighted mean subgroup dispersion.
-
-        Only supported subgroups participate, and larger subgroups weigh
-        more: a 3-record unanimous subgroup cannot drag \u03c3\u0303 to 0 and hand
-        the map a perfect agreement score.
-        """
+        """See :func:`rows_agreement` (over the supported subgroups)."""
         if group_size is None:
             group_size = int(counts.sum())
-        support = self._effective_support(counts, group_size)
-        rows = [(row, row.sum()) for row in counts if row.sum() >= support]
+        rows = self._supported(counts, group_size)
         if len(rows) < 2:
             return 0.0
-        values = []
-        weights = []
-        for row, size in rows:
-            v = self._dispersion_fn(row)
-            if not math.isnan(v):
-                values.append(v)
-                weights.append(size)
-        if not values:
-            return 0.0
-        sigma = float(np.average(values, weights=weights))
-        return 1.0 / (1.0 + sigma)
+        return rows_agreement(rows, self._dispersion_fn)
 
     def self_peculiarity(
         self, counts: np.ndarray, group_size: int | None = None
     ) -> float:
-        """Max over supported subgroups of distance(subgroup, whole map).
-
-        The support floor (default 5 = the paper's minimum irregular-group
-        size) keeps two-record subgroups, which are always extreme, from
-        pinning every map's peculiarity at the top.
-        """
+        """See :func:`rows_self_peculiarity` (over the supported subgroups)."""
         if group_size is None:
             group_size = int(counts.sum())
-        support = self._effective_support(counts, group_size)
-        supported = [row for row in counts if row.sum() >= support]
-        if len(supported) < 2:
+        rows = self._supported(counts, group_size)
+        if len(rows) < 2:
             return 0.0
-        pooled = RatingDistribution(np.sum(supported, axis=0).astype(np.int64))
-        return max(
-            max(
-                0.0,
-                self._distance(RatingDistribution(row.astype(np.int64)), pooled)
-                - self._noise_penalty(float(row.sum()), counts.shape[1]),
-            )
-            for row in supported
-        )
+        return rows_self_peculiarity(rows, self._distance_fn)
 
     def global_peculiarity(
         self,
@@ -246,25 +296,14 @@ class InterestingnessScorer:
         seen_pooled: Sequence[RatingDistribution],
         group_size: int | None = None,
     ) -> float:
-        """Distance between the map's pooled distribution and seen maps'.
-
-        The paper aggregates per-seen-map distances with ``max``;
-        ``global_use_min=True`` switches to the stricter ``min`` (distance
-        to the *closest* seen map), provided as an ablation knob.
-        """
+        """See :func:`rows_global_peculiarity` (over the supported subgroups)."""
         if group_size is None:
             group_size = int(counts.sum())
-        support = self._effective_support(counts, group_size)
-        supported = [row for row in counts if row.sum() >= support]
-        if len(supported) < 2 or not seen_pooled:
+        rows = self._supported(counts, group_size)
+        if len(rows) < 2 or not seen_pooled:
             return 0.0
-        pooled_counts = np.sum(supported, axis=0)
-        pooled = RatingDistribution(pooled_counts.astype(np.int64))
-        distances = [self._distance(pooled, q) for q in seen_pooled]
-        best = min(distances) if self._global_use_min else max(distances)
-        return max(
-            0.0,
-            best - self._noise_penalty(float(pooled_counts.sum()), counts.shape[1]),
+        return rows_global_peculiarity(
+            rows, seen_pooled, self._distance_fn, self._global_use_min
         )
 
     # -- all four -----------------------------------------------------------
@@ -290,11 +329,7 @@ class InterestingnessScorer:
         if n_subgroups < 2:
             return CriterionScores.zero()
 
-        fast = (
-            self._dispersion_fn is histogram_std
-            and self._peculiarity is PeculiarityDistance.TOTAL_VARIATION
-        )
-        if not fast:
+        if not self._fast:
             return CriterionScores(
                 conciseness=self.conciseness(counts, group_size),
                 agreement=self.agreement(counts, group_size),
@@ -330,7 +365,7 @@ class InterestingnessScorer:
                 distances.min() if self._global_use_min else distances.max()
             )
             pec_global = max(
-                0.0, best - self._noise_penalty(float(pooled.sum()), scale)
+                0.0, best - noise_penalty(float(pooled.sum()), scale)
             )
 
         return CriterionScores(

@@ -2,13 +2,13 @@
 
 The four criteria live on different scales (conciseness is a ratio of
 record counts; the others are already in [0, 1]), so before aggregation
-every criterion is normalised across the candidate set of the current step.
-Two strategies are provided:
+every criterion is normalised into [0, 1].  Two strategies are provided:
 
-* ``MINMAX`` (default, the choice of [51]) — per-criterion min–max over the
-  candidate maps still under consideration;
-* ``SQUASH`` — a fixed monotone squashing that needs no cross-candidate
-  state, used when candidates must be scored independently.
+* ``SQUASH`` (default) — a fixed monotone squashing that needs no
+  cross-candidate state, so utilities compare across rating groups, as
+  Eq. (2) requires when it sums map utilities per candidate operation;
+* ``MINMAX`` (the choice of [51], an ablation here) — per-criterion
+  min–max over the candidate maps of the current step.
 """
 
 from __future__ import annotations

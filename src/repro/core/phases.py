@@ -19,15 +19,12 @@ keeps the root's slices, so the root's phases are counted once per engine.
 Counting is one pass per attribute whatever the pruner drops: pruning saves
 snapshot scoring, which is most of a phased run, not counting.
 
-Between phases the active specs are scored as arrays.  Under the
-configurations the fused kernel covers (``supports_batch``: SQUASH
-normalisation, MAX aggregation, STD/TVD criteria) every active spec is one
-column of a single-candidate family and one
-:func:`~repro.batch.kernel.batch_family_scores` call scores them all,
-bitwise-equal to the scalar scorer; ablation configurations score through
-:class:`~repro.core.interestingness.InterestingnessScorer` and feed the same
-arrays.  :func:`finalize_from_counts` scores the final phase's survivors
-the same way.
+Between phases the active specs are scored as arrays: every active spec
+is one column of a single-candidate family, and one
+:func:`~repro.batch.kernel.batch_family_scores` call scores them all under
+any utility configuration, bitwise-equal to the reference scorer.
+:func:`finalize_from_counts` scores the final phase's survivors the same
+way.
 """
 
 from __future__ import annotations
@@ -38,17 +35,17 @@ from typing import TYPE_CHECKING, Any, Callable, Collection, Hashable, Mapping, 
 import numpy as np
 
 from ..batch.kernel import (
+    FamilyScores,
+    SeenPooled,
     batch_family_dw,
     batch_family_normalized,
     batch_family_scores,
-    seen_probabilities,
 )
 from ..db.groupby import phase_bounds
 from ..index.cubes import StepSlices
 from ..model.groups import RatingGroup, SelectionCriteria
 from ..obs import span as obs_span
 from ..resilience.deadline import check_deadline
-from .interestingness import InterestingnessScorer
 from .rating_maps import RatingMap, RatingMapSpec, rating_map_from_counts
 from .utility import (
     ScoredCandidate,
@@ -60,7 +57,6 @@ from .utility import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..batch.kernel import FamilyScores
     from .pruning import Pruner
 
 __all__ = [
@@ -80,7 +76,8 @@ class PhaseSnapshot:
     ``weights[i]`` its DW weight and ``dw[i]`` its DW utility.  A snapshot
     is built from those arrays (``scores`` stays ``None``), or from a
     ``scores`` mapping of :class:`~repro.core.utility.ScoredCandidate`
-    (the arrays are then derived from it, in mapping order).
+    (the arrays are then derived from it, in mapping order) — the form
+    the pruner tests build by hand.
     """
 
     phase: int
@@ -148,11 +145,9 @@ def finalize_from_counts(
     group_size: int,
     seen: SeenMaps,
     utility_config: UtilityConfig,
-    scorer: InterestingnessScorer,
     k_prime: int,
     pruned: Sequence[RatingMapSpec] = (),
     phases_run: int = 1,
-    kernel: bool = False,
 ) -> PhasedExecutionResult:
     """Score and rank candidate maps from their final histogram matrices.
 
@@ -164,30 +159,17 @@ def finalize_from_counts(
     labels; both the phased executor and :mod:`repro.index` route here.
     ``counts_of`` is called once per spec.
 
-    With ``kernel`` (valid only where ``supports_batch`` holds for the
-    configuration behind ``scorer`` and ``utility_config``) every spec is
-    one column of a one-candidate family and one
+    Every spec is one column of a one-candidate family, and one
     :func:`~repro.batch.kernel.batch_family_scores` pass gives all raw
-    criterion scores, bit for bit those ``scorer`` would give.
+    criterion scores.
     """
     matrices = {spec: counts_of(spec) for spec in specs}
-    if kernel:
-        family = _kernel_family(
-            list(matrices.values()),
-            group_size,
-            seen_probabilities(seen),
-            utility_config,
-        )
-        raw = {
-            spec: family.criterion_scores(0, j)
-            for j, spec in enumerate(matrices)
-        }
-    else:
-        seen_pooled = seen.pooled_distributions()
-        raw = {
-            spec: scorer.score(counts, group_size, seen_pooled)
-            for spec, counts in matrices.items()
-        }
+    family = _kernel_family(
+        list(matrices.values()), group_size, SeenPooled.of(seen), utility_config
+    )
+    raw = {
+        spec: family.criterion_scores(0, j) for j, spec in enumerate(matrices)
+    }
     dimension_of = {spec: spec.dimension for spec in raw}
     attribute_of = {spec: (spec.side, spec.attribute) for spec in raw}
     final_scores = score_candidate_set(
@@ -219,16 +201,15 @@ def finalize_from_counts(
 def _kernel_family(
     matrices: Sequence[np.ndarray],
     group_size: int,
-    seen_probs: "np.ndarray | None",
+    seen: SeenPooled,
     utility_config: UtilityConfig,
-) -> "FamilyScores":
+) -> FamilyScores:
     """One fused pass: each matrix is a column of a one-candidate family."""
     return batch_family_scores(
         [matrix[None] for matrix in matrices],
         np.array([group_size], dtype=np.int64),
-        seen_probs,
-        max(1, int(utility_config.min_support)),
-        utility_config.global_use_min,
+        seen,
+        utility_config,
     )
 
 
@@ -245,16 +226,10 @@ class PhasedExecution:
         The cross-step RM state (dimension weights, global-peculiarity refs).
     utility_config:
         Utility function configuration.
-    scorer:
-        Raw-criteria scorer (shared across phases).
     n_phases:
         The paper sets n = 10.
     shuffle_seed:
         Seed of the record permutation (``None`` disables shuffling).
-    kernel:
-        Score with the fused batch kernel instead of ``scorer``.  Only
-        valid when ``supports_batch`` holds for the generator
-        configuration that built ``scorer`` from ``utility_config``.
     slices:
         The group's scan state, whose phase counts the run reads: an
         index's :meth:`~repro.index.facade.IndexedDatabase.step_slices`
@@ -267,25 +242,20 @@ class PhasedExecution:
         specs: Sequence[RatingMapSpec],
         seen: SeenMaps,
         utility_config: UtilityConfig,
-        scorer: InterestingnessScorer,
         n_phases: int = 10,
         shuffle_seed: int | None = 0,
-        kernel: bool = False,
         slices: StepSlices | None = None,
     ) -> None:
         self._group = group
         self._specs = tuple(specs)
         self._seen = seen
         self._config = utility_config
-        self._scorer = scorer
         self._n_phases = max(1, int(n_phases))
         self._shuffle_seed = shuffle_seed
-        self._kernel = kernel
         self._slices = (
             StepSlices(group.database, group.rows) if slices is None else slices
         )
-        self._seen_pooled = seen.pooled_distributions()
-        self._seen_probs = seen_probabilities(seen)
+        self._seen_pooled = SeenPooled.of(seen)
         dim_weights = dimension_weights(seen.dimension_history(), seen.dimensions)
         self._weight = {
             spec: candidate_weight(
@@ -313,27 +283,10 @@ class PhasedExecution:
 
     def _snapshot(self, phase: int, n_phases: int) -> PhaseSnapshot:
         specs = self._active_specs()
-        if not self._kernel:
-            raw = {
-                spec: self._scorer.score(
-                    self._counts_of(spec), len(self._group), self._seen_pooled
-                )
-                for spec in specs
-            }
-            scores = score_candidate_set(
-                raw,
-                {spec: spec.dimension for spec in raw},
-                self._seen,
-                self._config,
-                {spec: (spec.side, spec.attribute) for spec in raw},
-            )
-            return PhaseSnapshot(
-                phase, n_phases, self._rows_seen, len(self._group), scores
-            )
         family = _kernel_family(
             [self._counts_of(spec) for spec in specs],
             len(self._group),
-            self._seen_probs,
+            self._seen_pooled,
             self._config,
         )
         normalized = batch_family_normalized(family, self._config)
@@ -399,9 +352,7 @@ class PhasedExecution:
             len(self._group),
             self._seen,
             self._config,
-            self._scorer,
             k_prime,
             pruned=self._pruned,
             phases_run=n_slices,
-            kernel=self._kernel,
         )

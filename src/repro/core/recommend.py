@@ -9,13 +9,13 @@ recommends maps and operations *simultaneously*.
 One loop, :meth:`RecommendationBuilder._scan`, serves both entry points:
 :meth:`~RecommendationBuilder.recommend` is the scan with no budget, and
 :meth:`~RecommendationBuilder.recommend_anytime` the same scan with a soft
-budget, a quality-ladder rung or a forced cut.  Candidates are scored by
-the family-batched kernel (:mod:`repro.batch`) on the request's thread.
-The per-candidate paths — the naive oracle, full-pipeline previews and
-configurations the kernel does not cover — evaluate independent
-candidates on a thread pool instead (the histogram accumulation is
-numpy-bound and releases the GIL); ``parallel=False`` gives the paper's
-No-Parallelism baseline there.
+budget, a quality-ladder rung or a forced cut.  An indexed engine scores
+candidates with the family-batched kernel (:mod:`repro.batch`) on the
+request's thread, under every utility configuration.  The per-candidate
+path — the naive oracle and full-pipeline previews — evaluates
+independent candidates on a thread pool instead (the histogram
+accumulation is numpy-bound and releases the GIL); ``parallel=False``
+gives the paper's No-Parallelism baseline there.
 """
 
 from __future__ import annotations
@@ -30,17 +30,12 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: index builds on core
-    from ..index.facade import IndexedDatabase, NeighborhoodContext
+    from ..index.facade import IndexedDatabase
 
 from ..anytime.budget import effective_deadline
 from ..anytime.ladder import QualityRung, RungPlan
 from ..anytime.partial import AnytimeRecommendation, Completeness
-from ..batch.scoring import (
-    BatchScored,
-    FamilyBatchScorer,
-    plan_lookup,
-    supports_batch,
-)
+from ..batch.scoring import BatchScored, FamilyBatchScorer, plan_lookup
 from ..model.database import SubjectiveDatabase
 from ..model.groups import RatingGroup, SelectionCriteria
 from ..model.operations import Operation, enumerate_operations
@@ -54,7 +49,6 @@ from ..resilience.deadline import (
     deadline_scope,
 )
 from ..resilience.gate import pressure_scope, under_pressure
-from .distance import MapDistanceMethod
 from .generator import RMSetGenerator, RMSetResult
 from .pruning import PruningStrategy
 from .utility import SeenMaps
@@ -96,7 +90,7 @@ class RecommenderConfig:
     preview_uses_full_pipeline: bool = False
 
     def workers(self) -> int:
-        """Scoring threads of the per-candidate paths, and the candidate
+        """Scoring threads of the per-candidate path, and the candidate
         count of one block of a budgeted scan."""
         if not self.parallel:
             return 1
@@ -128,13 +122,11 @@ class RecommendationBuilder:
         generator: RMSetGenerator,
         config: RecommenderConfig | None = None,
         index: "IndexedDatabase | None" = None,
-        batch_scoring: bool = True,
     ) -> None:
         self._database = database
         self._generator = generator
         self._config = config or RecommenderConfig()
         self._index = index
-        self._batch_scoring = bool(batch_scoring)
         if self._config.preview_uses_full_pipeline:
             self._preview_generator = generator
         else:
@@ -159,27 +151,20 @@ class RecommendationBuilder:
             "evaluated": 0,
             "pruned": 0,
             "materialized": 0,
-            "fallback": 0,
         }
 
     @property
     def config(self) -> RecommenderConfig:
         return self._config
 
-    @property
-    def batch_scoring(self) -> bool:
-        """Whether family-batched scoring is enabled for this builder."""
-        return self._batch_scoring
-
     def batch_stats(self) -> dict[str, int]:
         """Lifetime family-batching counters (for ``/metrics``)."""
         with self._batch_lock:
             return dict(self._batch_totals)
 
-    def _merge_batch_stats(self, stats: "dict[str, int]", fallback: int) -> None:
+    def _merge_batch_stats(self, stats: "dict[str, int]") -> None:
         with self._batch_lock:
             self._batch_totals["requests"] += 1
-            self._batch_totals["fallback"] += fallback
             for key in ("families", "candidates", "batched", "scored",
                         "evaluated", "pruned", "materialized"):
                 self._batch_totals[key] += stats[key]
@@ -237,38 +222,6 @@ class RecommendationBuilder:
             return None
         return ScoredOperation(operation, preview.total_utility(), preview)
 
-    def _score_one_indexed(
-        self,
-        ctx: "NeighborhoodContext",
-        operation: Operation,
-        seen: SeenMaps,
-        generator: RMSetGenerator,
-    ) -> ScoredOperation | None:
-        """Score from sufficient statistics — no group materialisation.
-
-        Mirrors :meth:`_score_one` decision for decision: same size gate,
-        same redundancy test (a FILTER child is a subset of the parent, so
-        its size alone settles row equality), and the preview is generated
-        from count matrices identical to what the naive scan produces.
-        """
-        view = ctx.candidate(operation)
-        size = view.size
-        if size < MIN_GROUP_SIZE:
-            return None
-        if view.matches_parent(ctx.parent_size):
-            return None
-        preview = generator.generate_from_counts(
-            operation.target,
-            view.specs,
-            view.counts_of,
-            view.labels_of,
-            size,
-            seen,
-        )
-        if not preview.selected:
-            return None
-        return ScoredOperation(operation, preview.total_utility(), preview)
-
     def recommend(
         self,
         current: SelectionCriteria,
@@ -299,7 +252,6 @@ class RecommendationBuilder:
                 candidates=scan.total,
                 scored=scan.scored,
                 indexed=scan.indexed,
-                batched=scan.batched,
                 returned=len(scan.top),
             )
             return scan.top
@@ -374,7 +326,7 @@ class RecommendationBuilder:
                 candidates=scan.total,
                 scanned=scan.scanned,
                 complete=completeness.complete,
-                batched=scan.batched,
+                indexed=scan.indexed,
                 snapshots=scan.snapshots,
             )
             return AnytimeRecommendation(
@@ -454,24 +406,14 @@ class RecommendationBuilder:
             current_group = self._materialise(current)
         current_rows = current_group.rows
         preview = self._preview_for(plan)
-        # Sufficient-statistic fast path: candidates are scored from fused
-        # cube slices / delta-maintained histograms instead of per-candidate
-        # group scans.  The full-pipeline preview mode exercises the phased
-        # pruning machinery on purpose, so it keeps the group-based path.
-        ctx: "NeighborhoodContext | None" = None
+        # Sufficient-statistic fast path: candidates are family-batched
+        # from fused cube slices / delta-maintained histograms instead of
+        # per-candidate group scans.  The full-pipeline preview mode
+        # exercises the phased pruning machinery on purpose, so it keeps
+        # the group-based path.
+        batch: "FamilyBatchScorer | None" = None
         if self._index is not None and not self._config.preview_uses_full_pipeline:
             ctx = self._index.neighborhood(current_group)
-
-        # family batching needs the index context, a kernel-covered config
-        # and PROFILE map distance, which evaluate_candidate's GMM replays
-        batch: "FamilyBatchScorer | None" = None
-        preview_config = self._preview_generator.config
-        if (
-            ctx is not None
-            and self._batch_scoring
-            and supports_batch(preview_config)
-            and preview_config.distance_method is MapDistanceMethod.PROFILE
-        ):
             batch = FamilyBatchScorer(ctx, preview, seen, o, MIN_GROUP_SIZE)
             lookup = plan_lookup(ctx, operations)
 
@@ -480,8 +422,6 @@ class RecommendationBuilder:
                     obs_activate(trace_ctx):
                 if limit is not None:
                     limit.check()
-                if ctx is not None:
-                    return self._score_one_indexed(ctx, operation, seen, preview)
                 return self._score_one(operation, seen, current_rows, preview)
 
         def score_block(
@@ -525,9 +465,7 @@ class RecommendationBuilder:
             snapshots += 1
         top = self._materialize_top(self._rank(scored), o)
         if batch is not None:
-            self._merge_batch_stats(
-                batch.stats, fallback=scanned - batch.stats["candidates"]
-            )
+            self._merge_batch_stats(batch.stats)
         return _Scan(
             top=top,
             total=total,
@@ -535,8 +473,7 @@ class RecommendationBuilder:
             scored=scored_count,
             snapshots=snapshots,
             budget_cut=budget_cut,
-            indexed=ctx is not None,
-            batched=batch is not None,
+            indexed=batch is not None,
             preview=preview,
         )
 
@@ -581,5 +518,4 @@ class _Scan:
     snapshots: int
     budget_cut: bool
     indexed: bool
-    batched: bool
     preview: RMSetGenerator

@@ -16,8 +16,6 @@ from .column import (
 from .csvio import load_table, save_table
 from .groupby import (
     Grouping,
-    HistogramAccumulator,
-    SharedGroupByScan,
     build_grouping,
     group_histograms,
     phase_slices,
@@ -50,14 +48,12 @@ __all__ = [
     "ColumnType",
     "Eq",
     "Grouping",
-    "HistogramAccumulator",
     "In",
     "MultiValuedColumn",
     "Not",
     "NumericColumn",
     "Or",
     "Predicate",
-    "SharedGroupByScan",
     "Table",
     "TableSchema",
     "TruePredicate",

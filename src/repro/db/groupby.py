@@ -5,11 +5,10 @@ group.  Two properties of that workload shape this module:
 
 * **Sharing** (paper §4.2.1, "Combining Multiple Aggregates"): all rating
   maps that group by the same attribute differ only in the aggregated rating
-  dimension, so one scan computes histograms for every dimension at once.
-* **Phased execution** (paper Alg. 1): pruning operates on *partial* results,
-  so accumulators accept incremental batches of rows and expose their
-  partial histograms at any point.  Algorithm 1 itself reads every phase's
-  histograms from one keyed pass
+  dimension, so the attribute's key is built once and each dimension is one
+  ``bincount`` against it (:meth:`~repro.index.cubes.StepSlices.group_hist`).
+* **Phased execution** (paper Alg. 1): pruning operates on *partial* results.
+  Algorithm 1 reads every phase's histograms from one keyed pass
   (:meth:`~repro.index.cubes.StepSlices.phase_counts`); :func:`phase_bounds`
   fixes its phases.
 
@@ -28,17 +27,14 @@ dimension) pair, and the real counts are the cells ``[1:, :m]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
-from ..exceptions import SchemaError
 from .table import Table
 
 __all__ = [
     "Grouping",
-    "HistogramAccumulator",
-    "SharedGroupByScan",
     "build_grouping",
     "group_histograms",
     "narrowest",
@@ -135,89 +131,6 @@ def score_buckets(scores: np.ndarray, scale: int) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         valid = np.isfinite(scores) & (scores >= 1) & (scores <= scale)
     return narrowest(np.where(valid, scores, scale + 1.0).astype(np.int64) - 1, scale)
-
-
-class HistogramAccumulator:
-    """Incrementally accumulated per-subgroup score histograms.
-
-    One accumulator corresponds to one (grouping attribute, rating dimension)
-    pair — i.e. one candidate rating map.  ``update`` folds in a batch of
-    rows; ``counts`` is always the histogram of all rows seen so far.  The
-    columns are kept in the trash-cell layout (:func:`score_buckets`), so a
-    batch is one ``bincount``.
-    """
-
-    def __init__(self, grouping: Grouping, scores: np.ndarray, scale: int) -> None:
-        if scale < 2:
-            raise SchemaError(f"rating scale must be >= 2, got {scale}")
-        self._grouping = grouping
-        self._buckets = score_buckets(np.asarray(scores, dtype=np.float64), int(scale))
-        self._scale = int(scale)
-        self._cells = np.zeros(
-            (grouping.n_groups + 1, self._scale + 1), dtype=np.int64
-        )
-        self._rows_seen = 0
-
-    @property
-    def counts(self) -> np.ndarray:
-        """The ``(n_groups, scale)`` partial histogram (a view — don't mutate)."""
-        return self._cells[1:, : self._scale]
-
-    @property
-    def rows_seen(self) -> int:
-        return self._rows_seen
-
-    def update(self, rows: "np.ndarray | slice") -> None:
-        """Fold the scores at ``rows`` (indices or a slice) into the histograms."""
-        key = shifted_codes(self._grouping.codes[rows], self._grouping.n_groups)
-        self.fold(np.multiply(key, self._scale + 1, dtype=np.int64), rows)
-
-    def fold(self, base: np.ndarray, rows: "np.ndarray | slice") -> None:
-        """Fold in ``rows`` given their keys pre-multiplied by ``scale + 1``.
-
-        The sharing fast path: a :class:`SharedGroupByScan` builds ``base``
-        once per batch and every dimension reuses it.
-        """
-        buckets = self._buckets[rows]
-        flat = self._cells.reshape(-1)
-        flat += np.bincount(base + buckets, minlength=flat.size)
-        self._rows_seen += int(len(buckets))
-
-    def update_all(self) -> None:
-        """Fold in every row at once (the no-phasing path)."""
-        self.update(slice(None))
-
-
-class SharedGroupByScan:
-    """Shared scan over one grouping attribute for many rating dimensions.
-
-    Implements the paper's "Combining Multiple Aggregates" sharing
-    optimization: the grouping's shifted codes are built once and every
-    dimension's accumulator reuses them, so a batch reads each row's key
-    once per attribute and each (attribute, dimension) pair costs one
-    ``bincount``.  ``update`` accepts row indices or a ``slice``.
-    """
-
-    def __init__(
-        self,
-        grouping: Grouping,
-        dimension_scores: Mapping[str, np.ndarray],
-        scale: int,
-    ) -> None:
-        self._key = shifted_codes(grouping.codes, grouping.n_groups)
-        self._stride = int(scale) + 1
-        self._accumulators = {
-            dim: HistogramAccumulator(grouping, scores, scale)
-            for dim, scores in dimension_scores.items()
-        }
-
-    def accumulator(self, dimension: str) -> HistogramAccumulator:
-        return self._accumulators[dimension]
-
-    def update(self, rows: "np.ndarray | slice") -> None:
-        base = np.multiply(self._key[rows], self._stride, dtype=np.int64)
-        for accumulator in self._accumulators.values():
-            accumulator.fold(base, rows)
 
 
 def phase_bounds(n_rows: int, n_phases: int) -> np.ndarray:

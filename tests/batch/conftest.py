@@ -1,10 +1,9 @@
 """Fixtures for the family-batched scoring suite.
 
-The equivalence tests run the same request through three engines — the
-naive full-pipeline oracle, the indexed per-candidate path and the
-batched path — and demand *exact* fingerprint equality, across databases
-with missing grouping values, multi-valued attributes, NaN rating scores
-and empty groups.
+The equivalence tests run the same request through the naive
+full-pipeline oracle and the batched (indexed) engine and demand *exact*
+fingerprint equality, across databases with missing grouping values,
+multi-valued attributes, NaN rating scores and empty groups.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ def build_engine(
     db: SubjectiveDatabase,
     *,
     use_index: bool = True,
-    batch: bool = True,
     **recommender_kwargs,
 ) -> SubDEx:
     recommender_kwargs.setdefault("max_values_per_attribute", 3)
@@ -100,7 +98,6 @@ def build_engine(
         db,
         SubDExConfig(
             use_index=use_index,
-            batch_scoring=batch,
             recommender=RecommenderConfig(**recommender_kwargs),
         ),
     )

@@ -1,9 +1,10 @@
-"""Batched vs indexed vs naive: exact fingerprint equivalence.
+"""Batched vs naive: exact fingerprint equivalence.
 
 The batched path must be *fingerprint-identical* (exact float equality,
 via :func:`repro.index.verify.diff_recommendations`) to the naive
 full-pipeline oracle — across missing values, multi-valued attributes,
-NaN scores, empty groups and every quality-ladder rung.
+NaN scores, empty groups, every quality-ladder rung and every utility
+configuration.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import pytest
 from repro import SubDEx, SubDExConfig
 from repro.anytime import QualityLadder, QualityRung
 from repro.core.distance import MapDistanceMethod
+from repro.core.interestingness import DispersionMeasure, PeculiarityDistance
 from repro.core.normalization import NormalizationStrategy
 from repro.core.recommend import RecommenderConfig
-from repro.core.utility import SeenMaps
+from repro.core.utility import SeenMaps, UtilityAggregation
 from repro.index.verify import diff_recommendations
 from repro.model.database import Side
 from repro.model.groups import AVPair, SelectionCriteria
+from repro.resilience.gate import pressure_scope
 
 EVERYTHING = 10**6
 
@@ -44,7 +47,7 @@ def _keys(scored) -> list[tuple[str, float]]:
 def test_recommend_matches_naive_oracle(
     batch_db_factory, batch_engine_factory, missing
 ):
-    """Root-level top-o: batched == indexed == naive, bit for bit.
+    """Root-level top-o: batched == naive, bit for bit.
 
     ``missing`` > 0 puts NaN scores in the rating columns, drops grouping
     values (empty-label groups) and empties some cuisine sets; 0.6 leaves
@@ -53,11 +56,9 @@ def test_recommend_matches_naive_oracle(
     def db():
         return batch_db_factory(seed=11, missing=missing, name=f"m{missing}")
 
-    naive = batch_engine_factory(db(), use_index=False, batch=False)
-    indexed = batch_engine_factory(db(), use_index=True, batch=False)
-    batched = batch_engine_factory(db(), use_index=True, batch=True)
+    naive = batch_engine_factory(db(), use_index=False)
+    batched = batch_engine_factory(db())
     oracle = naive.recommend(o=7)
-    assert not diff_recommendations(oracle, indexed.recommend(o=7))
     assert not diff_recommendations(oracle, batched.recommend(o=7))
     stats = batched.recommender.batch_stats()
     assert stats["requests"] == 1
@@ -65,7 +66,7 @@ def test_recommend_matches_naive_oracle(
     # single-valued FILTERs the family path — both count as batched
     assert stats["batched"] > 0
     assert stats["families"] > 0
-    assert indexed.recommender.batch_stats()["requests"] == 0
+    assert naive.recommender.batch_stats()["requests"] == 0
 
 
 def test_recommend_matches_after_a_filter_step(
@@ -76,7 +77,6 @@ def test_recommend_matches_after_a_filter_step(
     naive = batch_engine_factory(
         batch_db_factory(seed=5, missing=0.2, name="stepdb"),
         use_index=False,
-        batch=False,
     )
     batched = batch_engine_factory(
         batch_db_factory(seed=5, missing=0.2, name="stepdb")
@@ -90,17 +90,17 @@ def test_session_recommendations_identical_across_steps(
 ):
     """A whole exploration session: seen-map state feeds back identically."""
     records = {}
-    for name, batch in [("indexed", False), ("batched", True)]:
+    for name, use_index in [("naive", False), ("batched", True)]:
         engine = batch_engine_factory(
             batch_db_factory(seed=2, missing=0.25, name="sessiondb"),
-            batch=batch,
+            use_index=use_index,
         )
         session = engine.session()
         records[name] = [
             _keys(session.step(with_recommendations=True).recommendations)
             for __ in range(3)
         ]
-    assert records["indexed"] == records["batched"]
+    assert records["naive"] == records["batched"]
 
 
 @pytest.mark.parametrize("missing", [0.0, 0.3], ids=["clean", "missing"])
@@ -108,10 +108,10 @@ def test_every_ladder_rung_matches_unbatched(
     batch_db_factory, batch_engine_factory, missing
 ):
     """Each rung's cap/stride slices the same candidates either way."""
-    def engine(batch):
+    def engine(use_index):
         return batch_engine_factory(
             batch_db_factory(seed=3, missing=missing, name=f"rung{missing}"),
-            batch=batch,
+            use_index=use_index,
         )
 
     unbatched, batched = engine(False), engine(True)
@@ -137,36 +137,52 @@ def test_every_ladder_rung_matches_unbatched(
         ), rung
 
 
-def test_uncovered_utility_config_falls_back(batch_db_factory):
-    """Non-SQUASH normalisation is outside the kernel contract: the
-    request silently takes the per-candidate path and stays correct."""
+def _ablated(generator, name):
+    utility = generator.utility
+    if name == "diversity-only":
+        return replace(generator, diversity_only=True)
+    if name == "minmax":
+        utility = replace(utility, normalization=NormalizationStrategy.MINMAX)
+    elif name == "avg":
+        utility = replace(utility, aggregation=UtilityAggregation.AVG)
+    else:  # the per-row reductions
+        utility = replace(
+            utility,
+            dispersion=DispersionMeasure.MACARTHUR,
+            peculiarity=PeculiarityDistance.OUTLIER,
+        )
+    return replace(generator, utility=utility)
+
+
+@pytest.mark.parametrize("pressure", [False, True], ids=["calm", "pressure"])
+@pytest.mark.parametrize(
+    "ablation", ["minmax", "avg", "macarthur-outlier", "diversity-only"]
+)
+def test_ablation_configs_batch(batch_db_factory, ablation, pressure):
+    """Every utility configuration batch-scores and equals the oracle —
+    under load pressure too, where Diversity-Only never degrades."""
     def config(use_index):
         base = SubDExConfig(
             use_index=use_index,
             recommender=RecommenderConfig(max_values_per_attribute=3),
         )
-        generator = replace(
-            base.generator,
-            utility=replace(
-                base.generator.utility,
-                normalization=NormalizationStrategy.MINMAX,
-            ),
-        )
-        return replace(base, generator=generator)
+        return replace(base, generator=_ablated(base.generator, ablation))
 
     naive = SubDEx(batch_db_factory(seed=4, name="ablate"), config(False))
     batched = SubDEx(batch_db_factory(seed=4, name="ablate"), config(True))
-    oracle = naive.recommend(o=5)
-    assert not diff_recommendations(oracle, batched.recommend(o=5))
-    assert batched.recommender.batch_stats()["requests"] == 0
+    with pressure_scope(pressure):
+        oracle = naive.recommend(o=5)
+        assert oracle
+        assert not diff_recommendations(oracle, batched.recommend(o=5))
+    assert batched.recommender.batch_stats()["requests"] > 0
 
 
 @pytest.mark.parametrize(
     "method", [MapDistanceMethod.POOLED, MapDistanceMethod.NESTED]
 )
-def test_uncovered_distance_method_falls_back(batch_db_factory, method):
-    """The batched evaluation replays GMM on PROFILE distances only, so
-    other map distances take the per-candidate path and stay correct."""
+def test_other_distance_methods_batch(batch_db_factory, method):
+    """Without a PROFILE replay, an evaluated candidate's utility is its
+    materialised preview's: still batched, still the oracle's answer."""
     def config(use_index):
         base = SubDExConfig(
             use_index=use_index,
@@ -179,7 +195,7 @@ def test_uncovered_distance_method_falls_back(batch_db_factory, method):
     naive = SubDEx(batch_db_factory(seed=4, missing=0.2, name="dist"), config(False))
     batched = SubDEx(batch_db_factory(seed=4, missing=0.2, name="dist"), config(True))
     assert not diff_recommendations(naive.recommend(o=5), batched.recommend(o=5))
-    assert batched.recommender.batch_stats()["requests"] == 0
+    assert batched.recommender.batch_stats()["requests"] > 0
 
 
 def test_anytime_unbudgeted_equals_one_shot(

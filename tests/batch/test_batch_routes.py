@@ -2,9 +2,8 @@
 
 Hypothesis draws 1–3-pair selections — categorical and multi-valued
 pairs, missing values, empty cuisine sets, NaN scores, out-of-domain
-values — and runs ``recommend_anytime`` through the naive oracle, the
-indexed per-candidate path and the batched path on every ladder rung and
-under a forced budget cut.  FILTER cubes, sibling (CHANGE/GENERALIZE)
+values — and runs ``recommend_anytime`` through the naive oracle and the
+batched path on every ladder rung and under a forced budget cut.  FILTER cubes, sibling (CHANGE/GENERALIZE)
 cubes, containment families and residue candidates all sit in one scan
 order here, so the lazy per-family kernel passes must leave every
 snapshot, cut boundary and fingerprint exactly as the oracle has them.
@@ -42,9 +41,8 @@ MISSING = {"clean": 0.0, "missing": 0.35, "sparse": 0.6}
 def engines(name: str, db_factory, engine_factory) -> dict[str, SubDEx]:
     db = db_factory(seed=17, missing=MISSING[name], name=f"routes-{name}")
     return {
-        "naive": engine_factory(db, use_index=False, batch=False),
-        "indexed": engine_factory(db, use_index=True, batch=False),
-        "batched": engine_factory(db, use_index=True, batch=True),
+        "naive": engine_factory(db, use_index=False),
+        "batched": engine_factory(db, use_index=True),
     }
 
 

@@ -1,11 +1,12 @@
 """Exact maps from counts: the kernel path against the scalar path.
 
 ``generate_from_counts`` scores every spec in one fused kernel pass under
-the configurations the kernel covers, and the recommender's batched
-previews are built by that same call over each winner's counts.  Both must
-reproduce the scalar pipeline bit for bit (``result_fingerprint`` compares every count and
-every DW utility exactly), under a non-empty display history so global
-peculiarity reads the seen maps.
+every utility configuration, and the recommender's batched previews are
+built by that same call over each winner's counts.  Both must reproduce
+the reference pipeline — the scalar scorer, ``score_candidate_set`` and
+the generator's ranking — bit for bit (``result_fingerprint`` compares
+every count and every DW utility exactly), under a non-empty display
+history so global peculiarity reads the seen maps.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ from dataclasses import replace
 
 import pytest
 
-import repro.core.generator as generator_module
 import repro.core.phases as phases_module
 from repro import SubDEx, SubDExConfig
 from repro.core.distance import MapDistanceMethod
-from repro.core.generator import GeneratorConfig, RMSetGenerator
+from repro.core.generator import GeneratorConfig, RMSetGenerator, RMSetResult
+from repro.core.interestingness import InterestingnessScorer
 from repro.core.normalization import NormalizationStrategy
-from repro.core.rating_maps import enumerate_map_specs
+from repro.core.phases import PhasedExecutionResult
+from repro.core.rating_maps import enumerate_map_specs, rating_map_from_counts
 from repro.core.recommend import RecommenderConfig
-from repro.core.utility import SeenMaps
+from repro.core.utility import SeenMaps, score_candidate_set
 from repro.index.delta import direct_counts
 from repro.index.verify import result_fingerprint
 from repro.model.groups import RatingGroup, SelectionCriteria
@@ -62,6 +64,50 @@ def _from_counts(generator: RMSetGenerator, db, criteria, seen, k=None):
     )
 
 
+def _reference_from_counts(generator: RMSetGenerator, db, criteria, seen, k=None):
+    """The reference pipeline over the same direct counts: the scalar
+    scorer, ``score_candidate_set``, the (-dw, spec) ranking and the
+    generator's own RM-Selector."""
+    config = generator.config
+    utility = config.utility
+    k = config.k if k is None else k
+    rows = RatingGroup(db, criteria).rows
+    specs = tuple(enumerate_map_specs(db, criteria))
+    if rows.size == 0:
+        return RMSetResult((), (), {}, 0.0, ())
+    scorer = InterestingnessScorer(
+        dispersion=utility.dispersion,
+        peculiarity=utility.peculiarity,
+        global_use_min=utility.global_use_min,
+        min_support=utility.min_support,
+    )
+    counts = {spec: direct_counts(db, spec, rows) for spec in specs}
+    raw = {
+        spec: scorer.score(matrix, int(rows.size), seen.pooled_distributions())
+        for spec, matrix in counts.items()
+    }
+    scores = score_candidate_set(
+        raw,
+        {spec: spec.dimension for spec in raw},
+        seen,
+        utility,
+        {spec: (spec.side, spec.attribute) for spec in raw},
+    )
+    order = sorted(scores, key=lambda s: (-scores[s].dw_utility, s))
+    maps = [
+        rating_map_from_counts(
+            spec,
+            criteria,
+            counts[spec],
+            db.aligned_grouping(spec.side, spec.attribute).labels,
+            int(rows.size),
+        )
+        for spec in order[: k * config.pruning_diversity_factor]
+    ]
+    ranked = tuple(rm for rm in maps if rm.is_informative)
+    return generator._finish(PhasedExecutionResult(ranked, scores, (), 1), k)
+
+
 @pytest.fixture()
 def kernel_calls(monkeypatch):
     """Counts the kernel finalisations ``generate_from_counts`` runs."""
@@ -79,7 +125,7 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("global_use_min", [True, False], ids=["min", "max"])
 @pytest.mark.parametrize("missing", [0.0, 0.35], ids=["clean", "missing"])
 def test_kernel_path_matches_scalar_path(
-    batch_db_factory, monkeypatch, kernel_calls, global_use_min, missing
+    batch_db_factory, kernel_calls, global_use_min, missing
 ):
     db = batch_db_factory(seed=9, missing=missing, name=f"fc{missing}")
     base = GeneratorConfig()
@@ -94,11 +140,7 @@ def test_kernel_path_matches_scalar_path(
         non_empty += bool(len(RatingGroup(db, criteria)))
         for k in (None, 2):
             kernel = _from_counts(generator, db, criteria, seen, k)
-            with monkeypatch.context() as scalar_only:
-                scalar_only.setattr(
-                    generator_module, "supports_batch", lambda config: False
-                )
-                scalar = _from_counts(generator, db, criteria, seen, k)
+            scalar = _reference_from_counts(generator, db, criteria, seen, k)
             assert result_fingerprint(kernel) == result_fingerprint(scalar)
     # every non-empty group took the kernel path (an empty one returns early)
     assert non_empty >= 4
@@ -109,10 +151,10 @@ def test_kernel_path_matches_scalar_path(
     "method", [MapDistanceMethod.POOLED, MapDistanceMethod.NESTED]
 )
 def test_other_map_distances_keep_the_kernel(
-    batch_db_factory, monkeypatch, kernel_calls, method
+    batch_db_factory, kernel_calls, method
 ):
-    """Raw scores do not depend on the map distance, so only the
-    recommender's GMM replay is limited to PROFILE, not kernel scoring."""
+    """Raw scores do not depend on the map distance, so the kernel scores
+    under every distance and only the RM-Selector reads it."""
     db = batch_db_factory(seed=9, missing=0.35, name="fc-dist")
     generator = preview_generator(
         RMSetGenerator(replace(GeneratorConfig(), distance_method=method))
@@ -121,11 +163,7 @@ def test_other_map_distances_keep_the_kernel(
     kernel_calls.clear()
     for criteria in GROUPS[:4]:
         kernel = _from_counts(generator, db, criteria, seen, 2)
-        with monkeypatch.context() as scalar_only:
-            scalar_only.setattr(
-                generator_module, "supports_batch", lambda config: False
-            )
-            scalar = _from_counts(generator, db, criteria, seen, 2)
+        scalar = _reference_from_counts(generator, db, criteria, seen, 2)
         assert result_fingerprint(kernel) == result_fingerprint(scalar)
     assert len(kernel_calls) == 4
 
@@ -143,17 +181,26 @@ def test_other_map_distances_keep_the_kernel(
     ],
     ids=["diversity-only", "minmax"],
 )
-def test_uncovered_configs_take_the_scalar_path(
+def test_ablation_configs_take_the_kernel(
     batch_db_factory, kernel_calls, ablation
 ):
+    """Ablation configurations score in the kernel too, and the maps equal
+    the phased generator's with one phase and no pruning."""
     db = batch_db_factory(seed=9, missing=0.35, name="fc-ablate")
     generator = preview_generator(RMSetGenerator(ablation(GeneratorConfig())))
     seen = _seen_after_two_steps(db, generator)
     kernel_calls.clear()
+    non_empty = 0
     for criteria in GROUPS:
+        group = RatingGroup(db, criteria)
+        non_empty += bool(len(group))
         result = _from_counts(generator, db, criteria, seen)
         assert result.scores or criteria is GROUPS[-1]
-    assert kernel_calls == []
+        assert result_fingerprint(result) == result_fingerprint(
+            generator.generate(group, seen)
+        )
+    # generate() runs the kernel once more per group (its final phase)
+    assert len(kernel_calls) == 2 * non_empty
 
 
 @pytest.mark.parametrize("pressure", [False, True], ids=["calm", "pressure"])

@@ -1,25 +1,40 @@
-"""Fused family kernel vs its per-spec reference, bit for bit.
+"""Fused family kernel vs the reference scorer, bit for bit.
 
-``batch_family_scores`` documents a bitwise contract against the per-spec
-``batch_raw_scores`` assembly (itself validated against the scalar scorer
-by the equivalence suite): the fused ``reduceat``/grouped-matvec pass must
-reproduce every criterion column exactly, including NaN-free zeros for
-inactive (sub-support) candidate/spec pairs.
+``batch_family_scores`` documents a bitwise contract against the reference
+pipeline: every (candidate, spec) cell must equal
+:meth:`InterestingnessScorer.score` on that candidate's spec matrix —
+including zeros for inactive (sub-support) cells, zero-group specs and
+empty families — and ``batch_family_dw`` must equal
+``score_candidate_set``'s DW utilities over each candidate's specs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.batch.kernel import (
-    _family_scores_by_spec,
-    batch_dw_column,
-    batch_family_dw,
-    batch_family_scores,
-    batch_raw_scores,
+from repro.batch.kernel import SeenPooled, batch_family_dw, batch_family_scores
+from repro.core.distributions import RatingDistribution
+from repro.core.interestingness import (
+    DispersionMeasure,
+    InterestingnessScorer,
+    PeculiarityDistance,
 )
-from repro.core.utility import UtilityConfig
+from repro.core.normalization import NormalizationStrategy
+from repro.core.utility import (
+    SeenMaps,
+    UtilityAggregation,
+    UtilityConfig,
+    score_candidate_set,
+)
+
+MEASURES = [
+    (dispersion, peculiarity)
+    for dispersion in DispersionMeasure
+    for peculiarity in PeculiarityDistance
+]
 
 
 def _random_family(rng, n, scale=5, n_specs=4, sparse=0.3):
@@ -41,6 +56,34 @@ def _random_family(rng, n, scale=5, n_specs=4, sparse=0.3):
     return stacks, group_sizes.astype(np.int64)
 
 
+def _random_seen(rng, n_seen: int) -> SeenPooled:
+    pooled = tuple(
+        RatingDistribution(rng.integers(0, 30, size=5) + 1) for __ in range(n_seen)
+    )
+    probs = np.stack([q.probabilities() for q in pooled]) if pooled else None
+    return SeenPooled(pooled, probs)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _assert_matches_reference(scores, stacks, group_sizes, seen, config):
+    scorer = InterestingnessScorer(
+        dispersion=config.dispersion,
+        peculiarity=config.peculiarity,
+        global_use_min=config.global_use_min,
+        min_support=config.min_support,
+    )
+    assert scores.conciseness.shape == (len(group_sizes), len(stacks))
+    for i, size in enumerate(group_sizes):
+        for j, stack in enumerate(stacks):
+            expected = scorer.score(stack[i], int(size), seen.distributions)
+            assert scores.criterion_scores(i, j) == expected, (i, j)
+            rows_with_ratings = int((stack[i].sum(axis=1) > 0).sum())
+            assert scores.informative[i, j] == (rows_with_ratings >= 2), (i, j)
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_fused_scores_match_per_spec_reference(trial):
     rng = np.random.default_rng(trial)
@@ -48,66 +91,74 @@ def test_fused_scores_match_per_spec_reference(trial):
     stacks, group_sizes = _random_family(
         rng, n, n_specs=int(rng.integers(1, 6))
     )
-    seen = (
-        None
-        if trial % 3 == 0
-        else rng.dirichlet(np.ones(5), size=int(rng.integers(1, 4)))
+    seen = _random_seen(rng, 0 if trial % 3 == 0 else int(rng.integers(1, 4)))
+    dispersion, peculiarity = MEASURES[trial % len(MEASURES)]
+    config = UtilityConfig(
+        dispersion=dispersion,
+        peculiarity=peculiarity,
+        global_use_min=bool(trial % 2),
+        min_support=int(rng.integers(1, 6)),
     )
-    min_support = int(rng.integers(1, 6))
-    fused = batch_family_scores(stacks, group_sizes, seen, min_support, True)
-    reference = _family_scores_by_spec(
-        stacks, group_sizes, seen, min_support, True
-    )
-    for column in (
-        "conciseness",
-        "agreement",
-        "pec_self",
-        "pec_global",
-        "n_subgroups",
-        "informative",
-    ):
-        np.testing.assert_array_equal(
-            getattr(fused, column), getattr(reference, column), err_msg=column
-        )
+    scores = batch_family_scores(stacks, group_sizes, seen, config)
+    _assert_matches_reference(scores, stacks, group_sizes, seen, config)
 
 
 def test_family_dw_matches_per_spec_columns():
     rng = np.random.default_rng(7)
     stacks, group_sizes = _random_family(rng, 6, n_specs=5)
-    seen = rng.dirichlet(np.ones(5), size=2)
-    config = UtilityConfig()
-    scores = batch_family_scores(stacks, group_sizes, seen, 5, True)
+    seen = _random_seen(rng, 2)
     weights = rng.uniform(0.2, 1.5, size=5)
-    dw = batch_family_dw(scores, weights, config)
-    assert dw.shape == (6, 5)
-    for j, stack in enumerate(stacks):
-        column = batch_raw_scores(stack, group_sizes, seen, 5, True)
-        np.testing.assert_array_equal(
-            dw[:, j], batch_dw_column(column, float(weights[j]), config)
-        )
+    history = SeenMaps(("d",))
+    for normalization in NormalizationStrategy:
+        for aggregation in UtilityAggregation:
+            config = UtilityConfig(
+                normalization=normalization,
+                aggregation=aggregation,
+                use_dimension_weights=False,
+                use_attribute_weights=False,
+            )
+            scores = batch_family_scores(stacks, group_sizes, seen, config)
+            dw = batch_family_dw(scores, weights, config)
+            assert dw.shape == (6, 5)
+            for i in range(6):
+                raw = {j: scores.criterion_scores(i, j) for j in range(5)}
+                expected = score_candidate_set(
+                    raw, dict.fromkeys(raw, "d"), history, config
+                )
+                for j in range(5):
+                    reference = float(weights[j]) * expected[j].utility
+                    assert _bits(dw[i, j]) == _bits(reference), (config, i, j)
 
 
 def test_degenerate_shapes():
-    config_sizes = np.array([10, 20], dtype=np.int64)
+    config = UtilityConfig()
+    sizes = np.array([10, 20], dtype=np.int64)
+    seen = SeenPooled()
     # no specs at all
-    empty = batch_family_scores([], config_sizes, None, 5, True)
+    empty = batch_family_scores([], sizes, seen, config)
     assert empty.conciseness.shape == (2, 0)
-    assert batch_family_dw(empty, np.zeros(0), UtilityConfig()).shape == (2, 0)
-    # a zero-group spec routes through the per-spec fallback
+    assert batch_family_dw(empty, np.zeros(0), config).shape == (2, 0)
+    assert batch_family_dw(
+        empty, np.zeros(0), replace(config, normalization=NormalizationStrategy.MINMAX)
+    ).shape == (2, 0)
+    # a zero-group spec scores a zero column beside a filled one
     stacks = [
         np.zeros((2, 0, 5), dtype=np.int64),
         np.ones((2, 3, 5), dtype=np.int64),
     ]
-    scores = batch_family_scores(stacks, config_sizes, None, 5, True)
-    assert scores.conciseness.shape == (2, 2)
+    scores = batch_family_scores(stacks, sizes, seen, config)
     assert not scores.informative[:, 0].any()
     assert scores.informative[:, 1].all()
+    _assert_matches_reference(scores, stacks, sizes, seen, config)
     # no candidates
     none = batch_family_scores(
-        [np.zeros((0, 3, 5), dtype=np.int64)], np.zeros(0, dtype=np.int64),
-        None, 5, True,
+        [np.zeros((0, 3, 5), dtype=np.int64)],
+        np.zeros(0, dtype=np.int64),
+        seen,
+        config,
     )
     assert none.conciseness.shape == (0, 1)
+    assert none.informative.shape == (0, 1)
 
 
 def test_zeroed_candidates_score_zero():
@@ -117,7 +168,7 @@ def test_zeroed_candidates_score_zero():
     stack[0, 0, 0] = 1
     stack[0, 1, 1] = 1
     scores = batch_family_scores(
-        [stack], np.array([100], dtype=np.int64), None, 5, True
+        [stack], np.array([100], dtype=np.int64), SeenPooled(), UtilityConfig()
     )
     assert scores.informative[0, 0]  # two non-empty rows
     assert scores.n_subgroups[0, 0] == 0  # but neither passes support

@@ -1,10 +1,10 @@
 """The scoring thread pool is hoisted: one pool per builder, ever.
 
-Regression guard for per-request executor churn: under parallel
-per-candidate scoring a burst of requests must construct exactly one
-``ThreadPoolExecutor`` and never leave more than ``workers()`` live
-``subdex-score`` threads behind.  The family-batched path scores on the
-request's thread and never creates the pool at all.
+Regression guard for per-request executor churn: under the naive
+oracle's parallel per-candidate scoring a burst of requests must construct
+exactly one ``ThreadPoolExecutor`` and never leave more than ``workers()``
+live ``subdex-score`` threads behind.  The family-batched path scores on
+the request's thread and never creates the pool at all.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def test_no_thread_churn_across_requests(
     assert created == []
 
     before = len(_live_score_threads())
-    engine = batch_engine_factory(database, batch=False)
+    engine = batch_engine_factory(database, use_index=False)
     _burst(engine)
     assert created == ["subdex-score"]
     assert (

@@ -10,6 +10,7 @@ from repro.core.interestingness import (
     DispersionMeasure,
     InterestingnessScorer,
     PeculiarityDistance,
+    noise_penalty,
 )
 
 
@@ -111,9 +112,9 @@ class TestGlobalPeculiarity:
         )
         assert min_scorer.global_peculiarity(counts, seen, 20) == pytest.approx(0.0)
 
-    def test_noise_penalty_shrinks_with_n(self, scorer):
-        assert scorer._noise_penalty(10, 5) > scorer._noise_penalty(1000, 5)
-        assert scorer._noise_penalty(0, 5) == 1.0
+    def test_noise_penalty_shrinks_with_n(self):
+        assert noise_penalty(10, 5) > noise_penalty(1000, 5)
+        assert noise_penalty(0, 5) == 1.0
 
     def test_small_subgroup_peculiarity_damped(self, scorer):
         # the same relative contrast scores lower at 10 records than at 1000

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.generator import GeneratorConfig, RMSetGenerator
-from repro.core.interestingness import InterestingnessScorer
 from repro.core.phases import PhasedExecution, PhaseSnapshot
 from repro.core.pruning import (
     CombinedPruner,
@@ -24,10 +23,7 @@ def _execution(tiny_db, n_phases=10, criteria=None):
     specs = tuple(enumerate_map_specs(tiny_db, group.criteria))
     seen = SeenMaps(tiny_db.dimensions)
     config = UtilityConfig()
-    scorer = InterestingnessScorer()
-    return group, PhasedExecution(
-        group, specs, seen, config, scorer, n_phases=n_phases
-    )
+    return group, PhasedExecution(group, specs, seen, config, n_phases=n_phases)
 
 
 class TestPhasedExecution:

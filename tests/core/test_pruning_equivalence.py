@@ -6,11 +6,14 @@
   sequences with tied means, ``k' >= n`` and CI drops feeding SAR.
 * A kernel-scored phase snapshot (one fused ``batch_family_scores`` pass)
   equals ``score_candidate_set`` over the scalar scorer bit for bit, on
-  generated small databases, at every phase before the last — where the
-  group is larger than the rows seen so far.
+  generated small databases and utility configurations, at every phase
+  before the last — where the group is larger than the rows seen so far —
+  and so do ``generate_from_counts``'s scores and pool.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -19,12 +22,31 @@ from hypothesis import strategies as st
 import reference_pruning as reference
 from repro import SubjectiveDatabase
 from repro.core.generator import GeneratorConfig, RMSetGenerator
-from repro.core.interestingness import Criterion, CriterionScores, InterestingnessScorer
+from repro.core.interestingness import (
+    Criterion,
+    CriterionScores,
+    DispersionMeasure,
+    InterestingnessScorer,
+    PeculiarityDistance,
+)
+from repro.core.normalization import NormalizationStrategy
 from repro.core.phases import PhasedExecution, PhaseSnapshot
-from repro.core.pruning import CombinedPruner, ConfidenceIntervalPruner, MABPruner
+from repro.core.pruning import (
+    CombinedPruner,
+    ConfidenceIntervalPruner,
+    MABPruner,
+    PruningStrategy,
+)
 from repro.core.rating_maps import RatingMapSpec, enumerate_map_specs
-from repro.core.utility import ScoredCandidate, SeenMaps
+from repro.core.utility import (
+    ScoredCandidate,
+    SeenMaps,
+    UtilityAggregation,
+    UtilityConfig,
+    score_candidate_set,
+)
 from repro.db import Table
+from repro.index.cubes import StepSlices
 from repro.model import RatingGroup, SelectionCriteria
 from repro.model.database import Side
 from repro.stats import SuccessiveAcceptsRejects
@@ -245,65 +267,135 @@ def _bits(array) -> bytes:
     return np.ascontiguousarray(array, dtype=np.float64).tobytes()
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(
-    database=small_databases(),
-    n_phases=st.integers(2, 10),
-    shuffle_seed=st.integers(0, 50),
-    warm=st.booleans(),
-)
-def test_kernel_snapshots_match_scalar_scores(database, n_phases, shuffle_seed, warm):
-    config = GeneratorConfig()
-    utility = config.utility
-    group = RatingGroup(database, SelectionCriteria.root())
-    seen = SeenMaps(database.dimensions)
-    if warm:  # seen maps: global peculiarity and DW weights come into play
-        for rating_map in RMSetGenerator(config).generate(group, seen).selected:
-            seen.add(rating_map)
-    specs = tuple(enumerate_map_specs(database, group.criteria))
+def _reference_scores(specs, counts_of, group_size, seen, utility):
+    """The reference pipeline: the scalar scorer, then ``score_candidate_set``."""
     scorer = InterestingnessScorer(
         dispersion=utility.dispersion,
         peculiarity=utility.peculiarity,
         global_use_min=utility.global_use_min,
         min_support=utility.min_support,
     )
-    runs = []
-    for kernel in (False, True):
-        recorder = _Recorder()
-        execution = PhasedExecution(
-            group,
-            specs,
-            seen,
-            utility,
-            scorer,
-            n_phases=n_phases,
-            shuffle_seed=shuffle_seed,
-            kernel=kernel,
-        )
-        runs.append((recorder, execution.run(recorder, k_prime=1)))
-    (scalar, scalar_result), (fused, fused_result) = runs
-    assert len(fused.snapshots) == len(scalar.snapshots)
-    for expected, got in zip(scalar.snapshots, fused.snapshots):
+    pooled = seen.pooled_distributions()
+    raw = {spec: scorer.score(counts_of(spec), group_size, pooled) for spec in specs}
+    return score_candidate_set(
+        raw,
+        {spec: spec.dimension for spec in raw},
+        seen,
+        utility,
+        {spec: (spec.side, spec.attribute) for spec in raw},
+    )
+
+
+def _assert_same_scores(got, expected) -> None:
+    assert list(got) == list(expected)
+    for spec, scored in expected.items():
+        assert got[spec] == scored
+        assert got[spec].normalized == scored.normalized
+        assert _bits(got[spec].dw_utility) == _bits(scored.dw_utility)
+
+
+UTILITIES = st.builds(
+    UtilityConfig,
+    criteria=st.lists(
+        st.sampled_from(CRITERIA), min_size=1, max_size=4, unique=True
+    ).map(tuple),
+    aggregation=st.sampled_from(list(UtilityAggregation)),
+    dispersion=st.sampled_from(list(DispersionMeasure)),
+    peculiarity=st.sampled_from(list(PeculiarityDistance)),
+    global_use_min=st.booleans(),
+    normalization=st.sampled_from(list(NormalizationStrategy)),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    database=small_databases(),
+    utility=UTILITIES,
+    diversity_only=st.booleans(),
+    n_phases=st.integers(2, 10),
+    shuffle_seed=st.integers(0, 50),
+    warm=st.booleans(),
+)
+def test_kernel_snapshots_match_scalar_scores(
+    database, utility, diversity_only, n_phases, shuffle_seed, warm
+):
+    """Kernel snapshots and ``generate_from_counts`` equal the reference
+    pipeline bit for bit, under every utility configuration."""
+    config = GeneratorConfig(utility=utility, diversity_only=diversity_only)
+    group = RatingGroup(database, SelectionCriteria.root())
+    seen = SeenMaps(database.dimensions)
+    if warm:  # seen maps: global peculiarity and DW weights come into play
+        for rating_map in RMSetGenerator(config).generate(group, seen).selected:
+            seen.add(rating_map)
+    specs = tuple(enumerate_map_specs(database, group.criteria))
+    slices = StepSlices(database, group.rows)
+
+    recorder = _Recorder()
+    execution = PhasedExecution(
+        group, specs, seen, utility, n_phases=n_phases, shuffle_seed=shuffle_seed
+    )
+    result = execution.run(recorder, k_prime=1)
+    for got in recorder.snapshots:
         assert got.rows_seen < len(group)
+        cumulative = slices.phase_counts  # row ``phase - 1``: this snapshot
+        expected = PhaseSnapshot(
+            got.phase,
+            got.n_phases,
+            got.rows_seen,
+            got.n_total,
+            _reference_scores(
+                got.specs,
+                lambda spec: cumulative(spec, n_phases, shuffle_seed)[got.phase - 1],
+                len(group),
+                seen,
+                utility,
+            ),
+        )
         assert got.specs == expected.specs
         assert _bits(got.dw) == _bits(expected.dw)
         assert _bits(got.normalized) == _bits(expected.normalized)
         assert _bits(got.weights) == _bits(expected.weights)
-    assert [rm.spec for rm in fused_result.ranked] == [
-        rm.spec for rm in scalar_result.ranked
+    _assert_same_scores(
+        result.scores,
+        _reference_scores(
+            tuple(result.scores), slices.group_hist, len(group), seen, utility
+        ),
+    )
+
+    # exact maps from counts: the same scores, and the pool the reference
+    # ranking gives (informative maps by (-dw, spec), or in spec order for
+    # the Diversity-Only arm)
+    preview = RMSetGenerator(
+        replace(config, n_phases=1, pruning=PruningStrategy.NONE)
+    )
+    from_counts = preview.generate_from_counts(
+        group.criteria,
+        specs,
+        slices.group_hist,
+        lambda spec: slices.labels(spec.side, spec.attribute),
+        len(group),
+        seen,
+    )
+    expected = _reference_scores(specs, slices.group_hist, len(group), seen, utility)
+    _assert_same_scores(from_counts.scores, expected)
+    ranked = sorted(expected, key=lambda s: (-expected[s].dw_utility, s))
+    pool = [
+        spec
+        for spec in ranked[: len(specs) if diversity_only else config.k_prime]
+        if (slices.group_hist(spec).sum(axis=1) > 0).sum() >= 2
     ]
-    for spec, scored in scalar_result.scores.items():
-        assert fused_result.scores[spec] == scored
-        assert fused_result.scores[spec].dw_utility == scored.dw_utility
+    if diversity_only:
+        pool.sort()
+    assert [rm.spec for rm in from_counts.pool] == pool
 
 
 def test_default_generate_never_calls_the_scalar_scorer(tiny_db, monkeypatch):
-    """The default configuration scores phases and survivors in the kernel;
-    an ablation configuration still goes through the scalar scorer."""
+    """Phases and survivors score in the kernel, under the default and
+    under an ablation configuration alike."""
     calls = []
     score = InterestingnessScorer.score
 
@@ -320,6 +412,14 @@ def test_default_generate_never_calls_the_scalar_scorer(tiny_db, monkeypatch):
     for rating_map in first.selected:
         seen.add(rating_map)
     assert generator.generate(group, seen).selected
+    ablation = GeneratorConfig(
+        diversity_only=True,
+        utility=UtilityConfig(
+            normalization=NormalizationStrategy.MINMAX,
+            aggregation=UtilityAggregation.AVG,
+            dispersion=DispersionMeasure.SCHUTZ,
+            peculiarity=PeculiarityDistance.KL,
+        ),
+    )
+    assert RMSetGenerator(ablation).generate(group, seen).selected
     assert calls == []
-    RMSetGenerator(GeneratorConfig(diversity_only=True)).generate(group, seen)
-    assert calls

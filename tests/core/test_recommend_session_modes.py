@@ -34,13 +34,13 @@ class TestRecommendationBuilder:
             assert reco.preview.selected
 
     def test_sequential_equals_parallel(self, tiny_db):
-        # parallel only changes the per-candidate path; the batched
-        # kernel always runs on the request's thread
+        # parallel only changes the naive per-candidate path; an indexed
+        # engine batch-scores on the request's thread
         criteria = SelectionCriteria.of(reviewer={"gender": "F"})
         parallel = SubDEx(
             tiny_db,
             SubDExConfig(
-                batch_scoring=False,
+                use_index=False,
                 recommender=RecommenderConfig(
                     max_values_per_attribute=3, parallel=True
                 ),
@@ -49,7 +49,7 @@ class TestRecommendationBuilder:
         sequential = SubDEx(
             tiny_db,
             SubDExConfig(
-                batch_scoring=False,
+                use_index=False,
                 recommender=RecommenderConfig(
                     max_values_per_attribute=3, parallel=False
                 ),

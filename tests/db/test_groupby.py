@@ -1,4 +1,4 @@
-"""Tests for repro.db.groupby (shared scans, accumulators, phase slices)."""
+"""Tests for repro.db.groupby (groupings, histograms, phase slices)."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from repro.db import Table
 from repro.db.groupby import (
-    Grouping,
-    HistogramAccumulator,
-    SharedGroupByScan,
     build_grouping,
     group_histograms,
     phase_slices,
 )
-from repro.exceptions import SchemaError
 
 
 @pytest.fixture()
@@ -55,37 +51,6 @@ class TestGroupHistograms:
         scores = np.array([1.0, 2.0, 3.0])
         hist = group_histograms(codes, 1, scores, scale=5, rows=np.array([1]))
         assert hist[0].tolist() == [0, 1, 0, 0, 0]
-
-
-class TestHistogramAccumulator:
-    def _make(self):
-        grouping = Grouping("g", np.array([0, 1, 0, 1]), ("a", "b"))
-        scores = np.array([1.0, 2.0, 3.0, 4.0])
-        return HistogramAccumulator(grouping, scores, scale=5)
-
-    def test_incremental_equals_full(self):
-        acc1, acc2 = self._make(), self._make()
-        acc1.update_all()
-        acc2.update(np.array([0, 1]))
-        acc2.update(np.array([2, 3]))
-        assert (acc1.counts == acc2.counts).all()
-        assert acc2.rows_seen == 4
-
-    def test_scale_too_small_rejected(self):
-        grouping = Grouping("g", np.array([0]), ("a",))
-        with pytest.raises(SchemaError):
-            HistogramAccumulator(grouping, np.array([1.0]), scale=1)
-
-
-class TestSharedScan:
-    def test_shares_grouping_across_dimensions(self, table):
-        grouping = build_grouping(table, "g")
-        scores = {"d1": table.numeric("x"), "d2": table.numeric("x")}
-        scan = SharedGroupByScan(grouping, scores, scale=5)
-        scan.update(np.arange(len(table)))
-        assert (
-            scan.accumulator("d1").counts == scan.accumulator("d2").counts
-        ).all()
 
 
 class TestPhaseSlices:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.engine import SubDEx, SubDExConfig
 from repro.core.generator import GeneratorConfig
-from repro.core.interestingness import InterestingnessScorer
 from repro.core.phases import PhasedExecution
 from repro.core.pruning import PruningStrategy, make_pruner
 from repro.core.rating_maps import enumerate_map_specs
@@ -139,7 +138,6 @@ def test_phased_execution_same_from_every_count_source(
             specs,
             SeenMaps(db.dimensions),
             config.utility,
-            InterestingnessScorer(),
             n_phases=config.n_phases,
             shuffle_seed=config.shuffle_seed,
             slices=slices,

@@ -4,11 +4,11 @@ Hypothesis draws 1–3-pair selections over the synthetic databases —
 categorical, numeric and multi-valued pairs, values that are missing for
 some entities, empty multi-valued sets, and values outside the active
 domain — and scores the whole neighbourhood (plus out-of-domain CHANGE
-and FILTER candidates the enumerator never emits) through four engines:
-the naive full-scan oracle, the indexed per-candidate path, the batched
-path, and the batched path with ``max_cube_cells=0`` (every family over
-budget, so every candidate falls back to the posting rows).  All four
-must agree bit for bit on every scored candidate, not just the top-o.
+and FILTER candidates the enumerator never emits) through three engines:
+the naive full-scan oracle, the batched (indexed) path, and the batched
+path with ``max_cube_cells=0`` (every family over budget, so every
+candidate falls back to the posting rows).  All three must agree bit for
+bit on every scored candidate, not just the top-o.
 """
 
 from __future__ import annotations
@@ -50,26 +50,24 @@ DATABASES = {
 
 @lru_cache(maxsize=None)
 def engines(name: str, factory) -> dict[str, SubDEx]:
-    """The four engines over one database (built once per module)."""
+    """The three engines over one database (built once per module)."""
     db = factory(name=name, **DATABASES[name])
 
-    def build(use_index: bool, batch: bool) -> SubDEx:
+    def build(use_index: bool) -> SubDEx:
         return SubDEx(
             db,
             SubDExConfig(
                 use_index=use_index,
-                batch_scoring=batch,
                 recommender=RecommenderConfig(max_values_per_attribute=3),
             ),
         )
 
-    zero = build(True, True)
+    zero = build(True)
     zero._index = IndexedDatabase(db, max_cube_cells=0)
     zero.recommender._index = zero._index
     return {
-        "naive": build(False, False),
-        "indexed": build(True, False),
-        "batched": build(True, True),
+        "naive": build(False),
+        "batched": build(True),
         "zero_budget": zero,
     }
 
@@ -188,16 +186,9 @@ def test_equal_size_change_sibling_is_not_redundant():
     db = SubjectiveDatabase(users, items, ratings, ("overall",), scale=5)
     criteria = SelectionCriteria.of(item={"city": "NYC"})
     results = {}
-    for kind, (use_index, batch) in {
-        "naive": (False, False),
-        "indexed": (True, False),
-        "batched": (True, True),
-    }.items():
-        engine = SubDEx(
-            db, SubDExConfig(use_index=use_index, batch_scoring=batch)
-        )
+    for kind, use_index in {"naive": False, "batched": True}.items():
+        engine = SubDEx(db, SubDExConfig(use_index=use_index))
         results[kind] = engine.recommend(criteria, o=EVERYTHING)
     change = "item.city=Austin"
     assert change in {s.target.describe() for s in results["naive"]}
-    for kind in ("indexed", "batched"):
-        assert not diff_recommendations(results["naive"], results[kind]), kind
+    assert not diff_recommendations(results["naive"], results["batched"])
